@@ -5,13 +5,18 @@
 // resolves libGLESv2.so. GBooster's wrapper library implements this same
 // interface to intercept and forward the command stream (§IV-A), so a call
 // site cannot tell whether it is rendering locally or being offloaded.
+//
+// The entry points themselves are declared once, in gles/call_table.h.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 
-#include "common/image.h"
+#include "gles/call_table.h"
 #include "gles/types.h"
 
 namespace gb::gles {
@@ -20,100 +25,30 @@ class GlesApi {
  public:
   virtual ~GlesApi() = default;
 
-  // Error handling.
-  virtual GLenum glGetError() = 0;
-
-  // Framebuffer control.
-  virtual void glClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) = 0;
-  virtual void glClear(GLbitfield mask) = 0;
-  virtual void glViewport(GLint x, GLint y, GLsizei w, GLsizei h) = 0;
-  virtual void glScissor(GLint x, GLint y, GLsizei w, GLsizei h) = 0;
-
-  // Capabilities and fixed-function state.
-  virtual void glEnable(GLenum cap) = 0;
-  virtual void glDisable(GLenum cap) = 0;
-  virtual void glBlendFunc(GLenum sfactor, GLenum dfactor) = 0;
-  virtual void glDepthFunc(GLenum func) = 0;
-  virtual void glCullFace(GLenum mode) = 0;
-  virtual void glFrontFace(GLenum mode) = 0;
-
-  // Buffers.
-  virtual void glGenBuffers(GLsizei n, GLuint* out) = 0;
-  virtual void glDeleteBuffers(GLsizei n, const GLuint* names) = 0;
-  virtual void glBindBuffer(GLenum target, GLuint name) = 0;
-  virtual void glBufferData(GLenum target, GLsizeiptr size, const void* data,
-                            GLenum usage) = 0;
-  virtual void glBufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
-                               const void* data) = 0;
-
-  // Textures.
-  virtual void glGenTextures(GLsizei n, GLuint* out) = 0;
-  virtual void glDeleteTextures(GLsizei n, const GLuint* names) = 0;
-  virtual void glActiveTexture(GLenum unit) = 0;
-  virtual void glBindTexture(GLenum target, GLuint name) = 0;
-  virtual void glTexImage2D(GLenum target, GLint level, GLenum internal_format,
-                            GLsizei width, GLsizei height, GLint border,
-                            GLenum format, GLenum type, const void* pixels) = 0;
-  virtual void glTexSubImage2D(GLenum target, GLint level, GLint xoffset,
-                               GLint yoffset, GLsizei width, GLsizei height,
-                               GLenum format, GLenum type,
-                               const void* pixels) = 0;
-  virtual void glTexParameteri(GLenum target, GLenum pname, GLint param) = 0;
-
-  // Shaders and programs.
-  virtual GLuint glCreateShader(GLenum type) = 0;
-  virtual void glDeleteShader(GLuint shader) = 0;
-  virtual void glShaderSource(GLuint shader, std::string_view source) = 0;
-  virtual void glCompileShader(GLuint shader) = 0;
-  virtual GLint glGetShaderiv(GLuint shader, GLenum pname) = 0;
-  virtual std::string glGetShaderInfoLog(GLuint shader) = 0;
-  virtual GLuint glCreateProgram() = 0;
-  virtual void glDeleteProgram(GLuint program) = 0;
-  virtual void glAttachShader(GLuint program, GLuint shader) = 0;
-  virtual void glBindAttribLocation(GLuint program, GLuint index,
-                                    std::string_view name) = 0;
-  virtual void glLinkProgram(GLuint program) = 0;
-  virtual GLint glGetProgramiv(GLuint program, GLenum pname) = 0;
-  virtual void glUseProgram(GLuint program) = 0;
-  virtual GLint glGetAttribLocation(GLuint program, std::string_view name) = 0;
-  virtual GLint glGetUniformLocation(GLuint program, std::string_view name) = 0;
-
-  // Uniforms.
-  virtual void glUniform1f(GLint location, GLfloat x) = 0;
-  virtual void glUniform2f(GLint location, GLfloat x, GLfloat y) = 0;
-  virtual void glUniform3f(GLint location, GLfloat x, GLfloat y, GLfloat z) = 0;
-  virtual void glUniform4f(GLint location, GLfloat x, GLfloat y, GLfloat z,
-                           GLfloat w) = 0;
-  virtual void glUniform1i(GLint location, GLint x) = 0;
-  virtual void glUniformMatrix4fv(GLint location, GLsizei count,
-                                  GLboolean transpose,
-                                  const GLfloat* value) = 0;
-
-  // Vertex arrays and draws.
-  virtual void glEnableVertexAttribArray(GLuint index) = 0;
-  virtual void glDisableVertexAttribArray(GLuint index) = 0;
-  virtual void glVertexAttrib4f(GLuint index, GLfloat x, GLfloat y, GLfloat z,
-                                GLfloat w) = 0;
-  virtual void glVertexAttribPointer(GLuint index, GLint size, GLenum type,
-                                     GLboolean normalized, GLsizei stride,
-                                     const void* pointer) = 0;
-  virtual void glDrawArrays(GLenum mode, GLint first, GLsizei count) = 0;
-  virtual void glDrawElements(GLenum mode, GLsizei count, GLenum type,
-                              const void* indices) = 0;
-
-  // Synchronization (accepted; the software pipeline is synchronous).
-  virtual void glFlush() = 0;
-  virtual void glFinish() = 0;
-
-  // EGL-level presentation. Completes the pending frame and delivers it to
-  // the display system — the call whose behaviour GBooster rewrites (§IV-C,
-  // §VI-A). Returns true on success.
-  virtual bool eglSwapBuffers() = 0;
+#define GB_GLES_PURE(kind, ret, name, params, args, method, wire) \
+  virtual ret name params = 0;
+  GB_GLES_CALLS(GB_GLES_PURE)
+#undef GB_GLES_PURE
 };
 
-// Names of every entry point above, as they appear in a shared library's
-// dynamic symbol table. Used by the hooking layer and the interposition
-// tests to exercise symbol-by-symbol resolution.
-std::span<const std::string_view> gles_symbol_names();
+// One id per entry point, in symbol-table order.
+enum class SymbolId : std::uint8_t {
+#define GB_SYMBOL_ID(kind, ret, name, params, args, method, wire) name,
+  GB_GLES_CALLS(GB_SYMBOL_ID)
+#undef GB_SYMBOL_ID
+};
+
+// Names of every entry point, as they appear in a shared library's dynamic
+// symbol table, indexed by SymbolId. Used by the hooking layer and the
+// interposition tests to exercise symbol-by-symbol resolution.
+#define GB_SYMBOL_NAME(kind, ret, name, params, args, method, wire) \
+  std::string_view(#name),
+inline constexpr std::array kSymbolNames{GB_GLES_CALLS(GB_SYMBOL_NAME)};
+#undef GB_SYMBOL_NAME
+inline constexpr std::size_t kSymbolCount = kSymbolNames.size();
+
+inline std::span<const std::string_view> gles_symbol_names() {
+  return kSymbolNames;
+}
 
 }  // namespace gb::gles

@@ -147,6 +147,17 @@ class GlContext {
                         GLenum format, GLenum type, const void* pixels);
   void tex_parameteri(GLenum target, GLenum pname, GLint param);
 
+  // GlesApi-shaped forms of the calls above whose API signature differs
+  // (raw pointers and byte sizes, the unused border). Negative sizes and
+  // null sub-data are ignored; null glBufferData data allocates zeroes.
+  void buffer_data(GLenum target, GLsizeiptr size, const void* data,
+                   GLenum usage);
+  void buffer_sub_data(GLenum target, GLintptr offset, GLsizeiptr size,
+                       const void* data);
+  void tex_image_2d(GLenum target, GLint level, GLenum internal_format,
+                    GLsizei width, GLsizei height, GLint border, GLenum format,
+                    GLenum type, const void* pixels);
+
   // --- shaders & programs ----------------------------------------------------
   GLuint create_shader(GLenum type);
   void delete_shader(GLuint shader);
@@ -177,6 +188,9 @@ class GlContext {
   void uniform1i(GLint location, GLint value);
   void uniform_matrix4fv(GLint location, bool transpose,
                          std::span<const GLfloat> value);
+  // GlesApi form: uploads the first matrix; ignored when count < 1 or null.
+  void uniform_matrix4fv(GLint location, GLsizei count, GLboolean transpose,
+                         const GLfloat* value);
 
   // --- vertex arrays & drawing ------------------------------------------------
   void enable_vertex_attrib_array(GLuint index);
@@ -255,6 +269,11 @@ class GlContext {
   // Resolves the index array for glDrawElements.
   std::vector<std::uint32_t> gather_indices(GLsizei count, GLenum type,
                                             const void* indices);
+  // Draw-call validation shared by both draw paths, run before any
+  // per-vertex work: a linked program is current and `mode` is one the
+  // rasterizer handles. False (with the GL error set) means "draw nothing".
+  bool draw_ready(GLenum mode, std::size_t count);
+  // Rasterizes a validated draw.
   void draw_internal(GLenum mode, std::span<const std::uint32_t> indices,
                      bool sequential, GLint first);
   // Shared implementation of flush()/flush_tiles() (context_draw.cc).

@@ -1,185 +1,11 @@
 #include "gles/direct_backend.h"
 
-#include <array>
-
 namespace gb::gles {
 
 DirectBackend::DirectBackend(int surface_width, int surface_height,
                              PresentFn present)
     : context_(std::make_unique<GlContext>(surface_width, surface_height)),
       present_(std::move(present)) {}
-
-GLenum DirectBackend::glGetError() { return context_->get_error(); }
-
-void DirectBackend::glClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
-  context_->clear_color(r, g, b, a);
-}
-void DirectBackend::glClear(GLbitfield mask) { context_->clear(mask); }
-void DirectBackend::glViewport(GLint x, GLint y, GLsizei w, GLsizei h) {
-  context_->viewport(x, y, w, h);
-}
-void DirectBackend::glScissor(GLint x, GLint y, GLsizei w, GLsizei h) {
-  context_->scissor(x, y, w, h);
-}
-void DirectBackend::glEnable(GLenum cap) { context_->enable(cap); }
-void DirectBackend::glDisable(GLenum cap) { context_->disable(cap); }
-void DirectBackend::glBlendFunc(GLenum s, GLenum d) { context_->blend_func(s, d); }
-void DirectBackend::glDepthFunc(GLenum func) { context_->depth_func(func); }
-void DirectBackend::glCullFace(GLenum mode) { context_->cull_face(mode); }
-void DirectBackend::glFrontFace(GLenum mode) { context_->front_face(mode); }
-
-void DirectBackend::glGenBuffers(GLsizei n, GLuint* out) {
-  context_->gen_buffers(n, out);
-}
-void DirectBackend::glDeleteBuffers(GLsizei n, const GLuint* names) {
-  context_->delete_buffers(n, names);
-}
-void DirectBackend::glBindBuffer(GLenum target, GLuint name) {
-  context_->bind_buffer(target, name);
-}
-void DirectBackend::glBufferData(GLenum target, GLsizeiptr size,
-                                 const void* data, GLenum usage) {
-  if (size < 0) return;
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  if (bytes == nullptr) {
-    context_->buffer_data(target, std::vector<std::uint8_t>(
-                                      static_cast<std::size_t>(size)),
-                          usage);
-    return;
-  }
-  context_->buffer_data(
-      target, std::span(bytes, static_cast<std::size_t>(size)), usage);
-}
-void DirectBackend::glBufferSubData(GLenum target, GLintptr offset,
-                                    GLsizeiptr size, const void* data) {
-  if (size < 0 || offset < 0 || data == nullptr) return;
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  context_->buffer_sub_data(target, static_cast<std::size_t>(offset),
-                            std::span(bytes, static_cast<std::size_t>(size)));
-}
-
-void DirectBackend::glGenTextures(GLsizei n, GLuint* out) {
-  context_->gen_textures(n, out);
-}
-void DirectBackend::glDeleteTextures(GLsizei n, const GLuint* names) {
-  context_->delete_textures(n, names);
-}
-void DirectBackend::glActiveTexture(GLenum unit) { context_->active_texture(unit); }
-void DirectBackend::glBindTexture(GLenum target, GLuint name) {
-  context_->bind_texture(target, name);
-}
-void DirectBackend::glTexImage2D(GLenum target, GLint level,
-                                 GLenum internal_format, GLsizei width,
-                                 GLsizei height, GLint border, GLenum format,
-                                 GLenum type, const void* pixels) {
-  (void)border;
-  context_->tex_image_2d(target, level, internal_format, width, height, format,
-                         type, pixels);
-}
-void DirectBackend::glTexSubImage2D(GLenum target, GLint level, GLint xoffset,
-                                    GLint yoffset, GLsizei width,
-                                    GLsizei height, GLenum format, GLenum type,
-                                    const void* pixels) {
-  context_->tex_sub_image_2d(target, level, xoffset, yoffset, width, height,
-                             format, type, pixels);
-}
-void DirectBackend::glTexParameteri(GLenum target, GLenum pname, GLint param) {
-  context_->tex_parameteri(target, pname, param);
-}
-
-GLuint DirectBackend::glCreateShader(GLenum type) {
-  return context_->create_shader(type);
-}
-void DirectBackend::glDeleteShader(GLuint shader) { context_->delete_shader(shader); }
-void DirectBackend::glShaderSource(GLuint shader, std::string_view source) {
-  context_->shader_source(shader, source);
-}
-void DirectBackend::glCompileShader(GLuint shader) {
-  context_->compile_shader(shader);
-}
-GLint DirectBackend::glGetShaderiv(GLuint shader, GLenum pname) {
-  return context_->get_shaderiv(shader, pname);
-}
-std::string DirectBackend::glGetShaderInfoLog(GLuint shader) {
-  return context_->get_shader_info_log(shader);
-}
-GLuint DirectBackend::glCreateProgram() { return context_->create_program(); }
-void DirectBackend::glDeleteProgram(GLuint program) {
-  context_->delete_program(program);
-}
-void DirectBackend::glAttachShader(GLuint program, GLuint shader) {
-  context_->attach_shader(program, shader);
-}
-void DirectBackend::glBindAttribLocation(GLuint program, GLuint index,
-                                         std::string_view name) {
-  context_->bind_attrib_location(program, index, name);
-}
-void DirectBackend::glLinkProgram(GLuint program) {
-  context_->link_program(program);
-}
-GLint DirectBackend::glGetProgramiv(GLuint program, GLenum pname) {
-  return context_->get_programiv(program, pname);
-}
-void DirectBackend::glUseProgram(GLuint program) { context_->use_program(program); }
-GLint DirectBackend::glGetAttribLocation(GLuint program,
-                                         std::string_view name) {
-  return context_->get_attrib_location(program, name);
-}
-GLint DirectBackend::glGetUniformLocation(GLuint program,
-                                          std::string_view name) {
-  return context_->get_uniform_location(program, name);
-}
-
-void DirectBackend::glUniform1f(GLint location, GLfloat x) {
-  context_->uniform1f(location, x);
-}
-void DirectBackend::glUniform2f(GLint location, GLfloat x, GLfloat y) {
-  context_->uniform2f(location, x, y);
-}
-void DirectBackend::glUniform3f(GLint location, GLfloat x, GLfloat y,
-                                GLfloat z) {
-  context_->uniform3f(location, x, y, z);
-}
-void DirectBackend::glUniform4f(GLint location, GLfloat x, GLfloat y, GLfloat z,
-                                GLfloat w) {
-  context_->uniform4f(location, x, y, z, w);
-}
-void DirectBackend::glUniform1i(GLint location, GLint x) {
-  context_->uniform1i(location, x);
-}
-void DirectBackend::glUniformMatrix4fv(GLint location, GLsizei count,
-                                       GLboolean transpose,
-                                       const GLfloat* value) {
-  if (count < 1 || value == nullptr) return;
-  context_->uniform_matrix4fv(location, transpose, std::span(value, 16));
-}
-
-void DirectBackend::glEnableVertexAttribArray(GLuint index) {
-  context_->enable_vertex_attrib_array(index);
-}
-void DirectBackend::glDisableVertexAttribArray(GLuint index) {
-  context_->disable_vertex_attrib_array(index);
-}
-void DirectBackend::glVertexAttrib4f(GLuint index, GLfloat x, GLfloat y,
-                                     GLfloat z, GLfloat w) {
-  context_->vertex_attrib4f(index, x, y, z, w);
-}
-void DirectBackend::glVertexAttribPointer(GLuint index, GLint size, GLenum type,
-                                          GLboolean normalized, GLsizei stride,
-                                          const void* pointer) {
-  context_->vertex_attrib_pointer(index, size, type, normalized, stride,
-                                  pointer);
-}
-void DirectBackend::glDrawArrays(GLenum mode, GLint first, GLsizei count) {
-  context_->draw_arrays(mode, first, count);
-}
-void DirectBackend::glDrawElements(GLenum mode, GLsizei count, GLenum type,
-                                   const void* indices) {
-  context_->draw_elements(mode, count, type, indices);
-}
-
-void DirectBackend::glFlush() { context_->flush(); }
-void DirectBackend::glFinish() { context_->flush(); }
 
 bool DirectBackend::eglSwapBuffers() {
   if (present_) present_(context_->color_buffer());

@@ -24,71 +24,13 @@ class DirectBackend final : public GlesApi {
   [[nodiscard]] GlContext& context() noexcept { return *context_; }
   [[nodiscard]] const GlContext& context() const noexcept { return *context_; }
 
-  GLenum glGetError() override;
-  void glClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) override;
-  void glClear(GLbitfield mask) override;
-  void glViewport(GLint x, GLint y, GLsizei w, GLsizei h) override;
-  void glScissor(GLint x, GLint y, GLsizei w, GLsizei h) override;
-  void glEnable(GLenum cap) override;
-  void glDisable(GLenum cap) override;
-  void glBlendFunc(GLenum sfactor, GLenum dfactor) override;
-  void glDepthFunc(GLenum func) override;
-  void glCullFace(GLenum mode) override;
-  void glFrontFace(GLenum mode) override;
-  void glGenBuffers(GLsizei n, GLuint* out) override;
-  void glDeleteBuffers(GLsizei n, const GLuint* names) override;
-  void glBindBuffer(GLenum target, GLuint name) override;
-  void glBufferData(GLenum target, GLsizeiptr size, const void* data,
-                    GLenum usage) override;
-  void glBufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
-                       const void* data) override;
-  void glGenTextures(GLsizei n, GLuint* out) override;
-  void glDeleteTextures(GLsizei n, const GLuint* names) override;
-  void glActiveTexture(GLenum unit) override;
-  void glBindTexture(GLenum target, GLuint name) override;
-  void glTexImage2D(GLenum target, GLint level, GLenum internal_format,
-                    GLsizei width, GLsizei height, GLint border, GLenum format,
-                    GLenum type, const void* pixels) override;
-  void glTexSubImage2D(GLenum target, GLint level, GLint xoffset, GLint yoffset,
-                       GLsizei width, GLsizei height, GLenum format,
-                       GLenum type, const void* pixels) override;
-  void glTexParameteri(GLenum target, GLenum pname, GLint param) override;
-  GLuint glCreateShader(GLenum type) override;
-  void glDeleteShader(GLuint shader) override;
-  void glShaderSource(GLuint shader, std::string_view source) override;
-  void glCompileShader(GLuint shader) override;
-  GLint glGetShaderiv(GLuint shader, GLenum pname) override;
-  std::string glGetShaderInfoLog(GLuint shader) override;
-  GLuint glCreateProgram() override;
-  void glDeleteProgram(GLuint program) override;
-  void glAttachShader(GLuint program, GLuint shader) override;
-  void glBindAttribLocation(GLuint program, GLuint index,
-                            std::string_view name) override;
-  void glLinkProgram(GLuint program) override;
-  GLint glGetProgramiv(GLuint program, GLenum pname) override;
-  void glUseProgram(GLuint program) override;
-  GLint glGetAttribLocation(GLuint program, std::string_view name) override;
-  GLint glGetUniformLocation(GLuint program, std::string_view name) override;
-  void glUniform1f(GLint location, GLfloat x) override;
-  void glUniform2f(GLint location, GLfloat x, GLfloat y) override;
-  void glUniform3f(GLint location, GLfloat x, GLfloat y, GLfloat z) override;
-  void glUniform4f(GLint location, GLfloat x, GLfloat y, GLfloat z,
-                   GLfloat w) override;
-  void glUniform1i(GLint location, GLint x) override;
-  void glUniformMatrix4fv(GLint location, GLsizei count, GLboolean transpose,
-                          const GLfloat* value) override;
-  void glEnableVertexAttribArray(GLuint index) override;
-  void glDisableVertexAttribArray(GLuint index) override;
-  void glVertexAttrib4f(GLuint index, GLfloat x, GLfloat y, GLfloat z,
-                        GLfloat w) override;
-  void glVertexAttribPointer(GLuint index, GLint size, GLenum type,
-                             GLboolean normalized, GLsizei stride,
-                             const void* pointer) override;
-  void glDrawArrays(GLenum mode, GLint first, GLsizei count) override;
-  void glDrawElements(GLenum mode, GLsizei count, GLenum type,
-                      const void* indices) override;
-  void glFlush() override;
-  void glFinish() override;
+  // Every entry point but the swap forwards to its GlContext method.
+#define GB_DIRECT_FORWARD(kind, ret, name, params, args, method, wire) \
+  GB_IF(direct, kind)(ret name params override {                       \
+    return context_->method args;                                      \
+  })
+  GB_GLES_CALLS(GB_DIRECT_FORWARD)
+#undef GB_DIRECT_FORWARD
   bool eglSwapBuffers() override;
 
  private:

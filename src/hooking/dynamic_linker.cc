@@ -105,189 +105,9 @@ SymbolProvider DynamicLinker::dl_sym(Handle handle,
 // --- PerSymbolApi -------------------------------------------------------------
 
 PerSymbolApi::PerSymbolApi(const void* ctx, Resolver resolve) {
-  for (const std::string_view name : gles::gles_symbol_names()) {
-    if (SymbolProvider provider = resolve(ctx, name)) {
-      bindings_.emplace(std::string(name), provider);
-    }
+  for (std::size_t id = 0; id < gles::kSymbolCount; ++id) {
+    bindings_[id] = resolve(ctx, gles::kSymbolNames[id]);
   }
-}
-
-gles::GlesApi& PerSymbolApi::bound(std::string_view symbol) const {
-  const auto it = bindings_.find(symbol);
-  check(it != bindings_.end(),
-        "unresolved GLES symbol called through dispatch table");
-  return *it->second;
-}
-
-GLenum PerSymbolApi::glGetError() { return bound("glGetError").glGetError(); }
-void PerSymbolApi::glClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) {
-  bound("glClearColor").glClearColor(r, g, b, a);
-}
-void PerSymbolApi::glClear(GLbitfield mask) { bound("glClear").glClear(mask); }
-void PerSymbolApi::glViewport(GLint x, GLint y, GLsizei w, GLsizei h) {
-  bound("glViewport").glViewport(x, y, w, h);
-}
-void PerSymbolApi::glScissor(GLint x, GLint y, GLsizei w, GLsizei h) {
-  bound("glScissor").glScissor(x, y, w, h);
-}
-void PerSymbolApi::glEnable(GLenum cap) { bound("glEnable").glEnable(cap); }
-void PerSymbolApi::glDisable(GLenum cap) { bound("glDisable").glDisable(cap); }
-void PerSymbolApi::glBlendFunc(GLenum s, GLenum d) {
-  bound("glBlendFunc").glBlendFunc(s, d);
-}
-void PerSymbolApi::glDepthFunc(GLenum func) {
-  bound("glDepthFunc").glDepthFunc(func);
-}
-void PerSymbolApi::glCullFace(GLenum mode) {
-  bound("glCullFace").glCullFace(mode);
-}
-void PerSymbolApi::glFrontFace(GLenum mode) {
-  bound("glFrontFace").glFrontFace(mode);
-}
-void PerSymbolApi::glGenBuffers(GLsizei n, GLuint* out) {
-  bound("glGenBuffers").glGenBuffers(n, out);
-}
-void PerSymbolApi::glDeleteBuffers(GLsizei n, const GLuint* names) {
-  bound("glDeleteBuffers").glDeleteBuffers(n, names);
-}
-void PerSymbolApi::glBindBuffer(GLenum target, GLuint name) {
-  bound("glBindBuffer").glBindBuffer(target, name);
-}
-void PerSymbolApi::glBufferData(GLenum target, GLsizeiptr size,
-                                const void* data, GLenum usage) {
-  bound("glBufferData").glBufferData(target, size, data, usage);
-}
-void PerSymbolApi::glBufferSubData(GLenum target, GLintptr offset,
-                                   GLsizeiptr size, const void* data) {
-  bound("glBufferSubData").glBufferSubData(target, offset, size, data);
-}
-void PerSymbolApi::glGenTextures(GLsizei n, GLuint* out) {
-  bound("glGenTextures").glGenTextures(n, out);
-}
-void PerSymbolApi::glDeleteTextures(GLsizei n, const GLuint* names) {
-  bound("glDeleteTextures").glDeleteTextures(n, names);
-}
-void PerSymbolApi::glActiveTexture(GLenum unit) {
-  bound("glActiveTexture").glActiveTexture(unit);
-}
-void PerSymbolApi::glBindTexture(GLenum target, GLuint name) {
-  bound("glBindTexture").glBindTexture(target, name);
-}
-void PerSymbolApi::glTexImage2D(GLenum target, GLint level,
-                                GLenum internal_format, GLsizei width,
-                                GLsizei height, GLint border, GLenum format,
-                                GLenum type, const void* pixels) {
-  bound("glTexImage2D")
-      .glTexImage2D(target, level, internal_format, width, height, border,
-                    format, type, pixels);
-}
-void PerSymbolApi::glTexSubImage2D(GLenum target, GLint level, GLint xoffset,
-                                   GLint yoffset, GLsizei width,
-                                   GLsizei height, GLenum format, GLenum type,
-                                   const void* pixels) {
-  bound("glTexSubImage2D")
-      .glTexSubImage2D(target, level, xoffset, yoffset, width, height, format,
-                       type, pixels);
-}
-void PerSymbolApi::glTexParameteri(GLenum target, GLenum pname, GLint param) {
-  bound("glTexParameteri").glTexParameteri(target, pname, param);
-}
-GLuint PerSymbolApi::glCreateShader(GLenum type) {
-  return bound("glCreateShader").glCreateShader(type);
-}
-void PerSymbolApi::glDeleteShader(GLuint shader) {
-  bound("glDeleteShader").glDeleteShader(shader);
-}
-void PerSymbolApi::glShaderSource(GLuint shader, std::string_view source) {
-  bound("glShaderSource").glShaderSource(shader, source);
-}
-void PerSymbolApi::glCompileShader(GLuint shader) {
-  bound("glCompileShader").glCompileShader(shader);
-}
-GLint PerSymbolApi::glGetShaderiv(GLuint shader, GLenum pname) {
-  return bound("glGetShaderiv").glGetShaderiv(shader, pname);
-}
-std::string PerSymbolApi::glGetShaderInfoLog(GLuint shader) {
-  return bound("glGetShaderInfoLog").glGetShaderInfoLog(shader);
-}
-GLuint PerSymbolApi::glCreateProgram() {
-  return bound("glCreateProgram").glCreateProgram();
-}
-void PerSymbolApi::glDeleteProgram(GLuint program) {
-  bound("glDeleteProgram").glDeleteProgram(program);
-}
-void PerSymbolApi::glAttachShader(GLuint program, GLuint shader) {
-  bound("glAttachShader").glAttachShader(program, shader);
-}
-void PerSymbolApi::glBindAttribLocation(GLuint program, GLuint index,
-                                        std::string_view name) {
-  bound("glBindAttribLocation").glBindAttribLocation(program, index, name);
-}
-void PerSymbolApi::glLinkProgram(GLuint program) {
-  bound("glLinkProgram").glLinkProgram(program);
-}
-GLint PerSymbolApi::glGetProgramiv(GLuint program, GLenum pname) {
-  return bound("glGetProgramiv").glGetProgramiv(program, pname);
-}
-void PerSymbolApi::glUseProgram(GLuint program) {
-  bound("glUseProgram").glUseProgram(program);
-}
-GLint PerSymbolApi::glGetAttribLocation(GLuint program, std::string_view name) {
-  return bound("glGetAttribLocation").glGetAttribLocation(program, name);
-}
-GLint PerSymbolApi::glGetUniformLocation(GLuint program,
-                                         std::string_view name) {
-  return bound("glGetUniformLocation").glGetUniformLocation(program, name);
-}
-void PerSymbolApi::glUniform1f(GLint location, GLfloat x) {
-  bound("glUniform1f").glUniform1f(location, x);
-}
-void PerSymbolApi::glUniform2f(GLint location, GLfloat x, GLfloat y) {
-  bound("glUniform2f").glUniform2f(location, x, y);
-}
-void PerSymbolApi::glUniform3f(GLint location, GLfloat x, GLfloat y, GLfloat z) {
-  bound("glUniform3f").glUniform3f(location, x, y, z);
-}
-void PerSymbolApi::glUniform4f(GLint location, GLfloat x, GLfloat y, GLfloat z,
-                               GLfloat w) {
-  bound("glUniform4f").glUniform4f(location, x, y, z, w);
-}
-void PerSymbolApi::glUniform1i(GLint location, GLint x) {
-  bound("glUniform1i").glUniform1i(location, x);
-}
-void PerSymbolApi::glUniformMatrix4fv(GLint location, GLsizei count,
-                                      GLboolean transpose,
-                                      const GLfloat* value) {
-  bound("glUniformMatrix4fv")
-      .glUniformMatrix4fv(location, count, transpose, value);
-}
-void PerSymbolApi::glEnableVertexAttribArray(GLuint index) {
-  bound("glEnableVertexAttribArray").glEnableVertexAttribArray(index);
-}
-void PerSymbolApi::glDisableVertexAttribArray(GLuint index) {
-  bound("glDisableVertexAttribArray").glDisableVertexAttribArray(index);
-}
-void PerSymbolApi::glVertexAttrib4f(GLuint index, GLfloat x, GLfloat y,
-                                    GLfloat z, GLfloat w) {
-  bound("glVertexAttrib4f").glVertexAttrib4f(index, x, y, z, w);
-}
-void PerSymbolApi::glVertexAttribPointer(GLuint index, GLint size, GLenum type,
-                                         GLboolean normalized, GLsizei stride,
-                                         const void* pointer) {
-  bound("glVertexAttribPointer")
-      .glVertexAttribPointer(index, size, type, normalized, stride, pointer);
-}
-void PerSymbolApi::glDrawArrays(GLenum mode, GLint first, GLsizei count) {
-  bound("glDrawArrays").glDrawArrays(mode, first, count);
-}
-void PerSymbolApi::glDrawElements(GLenum mode, GLsizei count, GLenum type,
-                                  const void* indices) {
-  bound("glDrawElements").glDrawElements(mode, count, type, indices);
-}
-void PerSymbolApi::glFlush() { bound("glFlush").glFlush(); }
-void PerSymbolApi::glFinish() { bound("glFinish").glFinish(); }
-bool PerSymbolApi::eglSwapBuffers() {
-  return bound("eglSwapBuffers").eglSwapBuffers();
 }
 
 }  // namespace gb::hooking

@@ -82,73 +82,12 @@ class CommandRecorder final : public gles::GlesApi {
     return frame_.sequence;
   }
 
-  // GlesApi implementation --------------------------------------------------
-  GLenum glGetError() override;
-  void glClearColor(GLfloat r, GLfloat g, GLfloat b, GLfloat a) override;
-  void glClear(GLbitfield mask) override;
-  void glViewport(GLint x, GLint y, GLsizei w, GLsizei h) override;
-  void glScissor(GLint x, GLint y, GLsizei w, GLsizei h) override;
-  void glEnable(GLenum cap) override;
-  void glDisable(GLenum cap) override;
-  void glBlendFunc(GLenum sfactor, GLenum dfactor) override;
-  void glDepthFunc(GLenum func) override;
-  void glCullFace(GLenum mode) override;
-  void glFrontFace(GLenum mode) override;
-  void glGenBuffers(GLsizei n, GLuint* out) override;
-  void glDeleteBuffers(GLsizei n, const GLuint* names) override;
-  void glBindBuffer(GLenum target, GLuint name) override;
-  void glBufferData(GLenum target, GLsizeiptr size, const void* data,
-                    GLenum usage) override;
-  void glBufferSubData(GLenum target, GLintptr offset, GLsizeiptr size,
-                       const void* data) override;
-  void glGenTextures(GLsizei n, GLuint* out) override;
-  void glDeleteTextures(GLsizei n, const GLuint* names) override;
-  void glActiveTexture(GLenum unit) override;
-  void glBindTexture(GLenum target, GLuint name) override;
-  void glTexImage2D(GLenum target, GLint level, GLenum internal_format,
-                    GLsizei width, GLsizei height, GLint border, GLenum format,
-                    GLenum type, const void* pixels) override;
-  void glTexSubImage2D(GLenum target, GLint level, GLint xoffset, GLint yoffset,
-                       GLsizei width, GLsizei height, GLenum format,
-                       GLenum type, const void* pixels) override;
-  void glTexParameteri(GLenum target, GLenum pname, GLint param) override;
-  GLuint glCreateShader(GLenum type) override;
-  void glDeleteShader(GLuint shader) override;
-  void glShaderSource(GLuint shader, std::string_view source) override;
-  void glCompileShader(GLuint shader) override;
-  GLint glGetShaderiv(GLuint shader, GLenum pname) override;
-  std::string glGetShaderInfoLog(GLuint shader) override;
-  GLuint glCreateProgram() override;
-  void glDeleteProgram(GLuint program) override;
-  void glAttachShader(GLuint program, GLuint shader) override;
-  void glBindAttribLocation(GLuint program, GLuint index,
-                            std::string_view name) override;
-  void glLinkProgram(GLuint program) override;
-  GLint glGetProgramiv(GLuint program, GLenum pname) override;
-  void glUseProgram(GLuint program) override;
-  GLint glGetAttribLocation(GLuint program, std::string_view name) override;
-  GLint glGetUniformLocation(GLuint program, std::string_view name) override;
-  void glUniform1f(GLint location, GLfloat x) override;
-  void glUniform2f(GLint location, GLfloat x, GLfloat y) override;
-  void glUniform3f(GLint location, GLfloat x, GLfloat y, GLfloat z) override;
-  void glUniform4f(GLint location, GLfloat x, GLfloat y, GLfloat z,
-                   GLfloat w) override;
-  void glUniform1i(GLint location, GLint x) override;
-  void glUniformMatrix4fv(GLint location, GLsizei count, GLboolean transpose,
-                          const GLfloat* value) override;
-  void glEnableVertexAttribArray(GLuint index) override;
-  void glDisableVertexAttribArray(GLuint index) override;
-  void glVertexAttrib4f(GLuint index, GLfloat x, GLfloat y, GLfloat z,
-                        GLfloat w) override;
-  void glVertexAttribPointer(GLuint index, GLint size, GLenum type,
-                             GLboolean normalized, GLsizei stride,
-                             const void* pointer) override;
-  void glDrawArrays(GLenum mode, GLint first, GLsizei count) override;
-  void glDrawElements(GLenum mode, GLsizei count, GLenum type,
-                      const void* indices) override;
-  void glFlush() override;
-  void glFinish() override;
-  bool eglSwapBuffers() override;
+  // GlesApi implementation: plain calls, queries and glFlush/glFinish are
+  // generated from gles/call_table.h; special calls are hand-written.
+#define GB_RECORDER_DECL(kind, ret, name, params, args, method, wire) \
+  ret name params override;
+  GB_GLES_CALLS(GB_RECORDER_DECL)
+#undef GB_RECORDER_DECL
 
  private:
   struct PendingClientPointer {
@@ -160,8 +99,9 @@ class CommandRecorder final : public gles::GlesApi {
     const void* pointer = nullptr;
   };
 
-  // Appends the writer's bytes as one command record.
-  void push_record(ByteWriter writer);
+  // Encodes `args` as one `Op` command record and appends it to the frame.
+  template <CmdOp Op, typename... Args>
+  void record(const Args&... args);
   // Emits any pending client-memory attribute pointers sized for
   // `vertex_count` vertices starting at vertex 0 (§IV-B deferral).
   void flush_pending_pointers(std::size_t vertex_count);
