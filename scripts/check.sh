@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo check driver: the tier-1 build + full test suite, then the failure-
 # handling test labels (faults, observability, snapshot, overload, raster,
-# transport, dedup, fleet, soak) rebuilt and rerun under AddressSanitizer
+# transport, dedup, fleet, soak, wire) rebuilt and rerun under AddressSanitizer
 # and ThreadSanitizer (CMakeLists.txt GB_SANITIZE), and the
 # rasterizer/codec identity suites rerun with GB_SIMD=OFF to prove the
 # vectorized hot paths are bit-exact against the scalar build.
@@ -30,9 +30,12 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 # by concurrent sessions, lease-pinned pointer stability), and the fleet
 # migration machinery (snapshot transfer + slot swap with frames still in
 # flight), and the soak/chaos harness (session teardown with node-id
-# reuse, invariant-audit probes over every long-lived table). -L takes a
-# regex; one call covers all nine labels.
-SAN_LABELS='faults|observability|snapshot|overload|raster|transport|dedup|fleet|soak'
+# reuse, invariant-audit probes over every long-lived table), and the
+# wire replay hardening (crafted records plus the call-table-driven
+# structural fuzz of every opcode, where an over-read or an allocation sized
+# by an unchecked count shows up first under ASan). -L takes a regex; one
+# call covers all ten labels.
+SAN_LABELS='faults|observability|snapshot|overload|raster|transport|dedup|fleet|soak|wire'
 # Suites whose outputs must not change when GB_SIMD is toggled: the
 # rasterizer identity tests and the codec/LZ4 bitstream tests.
 NOSIMD_LABELS='raster|codec'
