@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,10 @@ struct IntrinsicCase {
   const char* source;
   float expected_x;
 };
+
+// gtest's default printer dumps the raw bytes of the struct, pointers and
+// padding included, which makes the listed test names differ run to run.
+void PrintTo(const IntrinsicCase& c, std::ostream* os) { *os << c.name; }
 
 class IntrinsicTest : public ::testing::TestWithParam<IntrinsicCase> {};
 
@@ -197,6 +202,8 @@ struct ErrorCase {
   ShaderKind kind;
   const char* source;
 };
+
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class CompileErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
