@@ -9,27 +9,17 @@
 namespace gb::core {
 namespace {
 
-// The subset of a frame's records the shadow replica needs between frames.
-wire::FrameCommands state_subset(const wire::FrameCommands& frame) {
-  wire::FrameCommands state;
-  state.sequence = frame.sequence;
+// The frame's state-mutating records (what the replicas need between
+// frames), or with `state == false` the rest (the draws).
+wire::FrameCommands subset(const wire::FrameCommands& frame, bool state) {
+  wire::FrameCommands out;
+  out.sequence = frame.sequence;
   for (const wire::CommandRecord& record : frame.records) {
-    if (wire::mutates_shared_state(record.op())) {
-      state.records.push_back(record);
+    if (wire::mutates_shared_state(record.op()) == state) {
+      out.records.push_back(record);
     }
   }
-  return state;
-}
-
-wire::FrameCommands draw_subset(const wire::FrameCommands& frame) {
-  wire::FrameCommands draws;
-  draws.sequence = frame.sequence;
-  for (const wire::CommandRecord& record : frame.records) {
-    if (!wire::mutates_shared_state(record.op())) {
-      draws.records.push_back(record);
-    }
-  }
-  return draws;
+  return out;
 }
 
 }  // namespace
@@ -41,18 +31,9 @@ GBoosterRuntime::GBoosterRuntime(EventLoop& loop, GBoosterConfig config,
       config_(config),
       endpoint_(endpoint),
       dispatcher_(devices, config.dispatch_policy),
+      governor_(config.qos),
       tracer_(config.tracer) {
-  for (const ServiceDeviceInfo& d : devices) {
-    device_nodes_.push_back(d.node);
-    migration_dark_.push_back(0);
-    render_caches_.push_back(std::make_unique<compress::CommandCache>());
-    cache_epochs_.push_back(0);
-    mirror_revs_.push_back(0);
-    apply_floors_.push_back(0);
-    needs_snapshot_.push_back(false);
-    snapshot_covers_ids_.push_back(0);
-    manifests_.push_back(nullptr);
-  }
+  for (const ServiceDeviceInfo& d : devices) add_device_slot(d.node);
   if (config_.shared_dedup) {
     join_pending_ = true;
     schedule_after_guarded(config_.join_delay, [this] { join_tick(); });
@@ -73,18 +54,25 @@ GBoosterRuntime::GBoosterRuntime(EventLoop& loop, GBoosterConfig config,
                          [this] { heartbeat_tick(); });
   }
   if (config_.qos.enabled) {
-    governor_ = std::make_unique<QosGovernor>(config_.qos);
     schedule_after_guarded(config_.qos.window, [this] { qos_tick(); });
   }
 }
 
+void GBoosterRuntime::add_device_slot(net::NodeId node) {
+  device_nodes_.push_back(node);
+  migration_dark_.push_back(0);
+  render_caches_.push_back(std::make_unique<compress::CommandCache>());
+  cache_epochs_.push_back(0);
+  mirror_revs_.push_back(0);
+  apply_floors_.push_back(0);
+  needs_snapshot_.push_back(false);
+  snapshot_covers_ids_.push_back(0);
+  manifests_.push_back(nullptr);
+}
+
 EventLoop::EventId GBoosterRuntime::schedule_after_guarded(
     SimTime delay, std::function<void()> fn) {
-  return loop_.schedule_after(
-      delay, [alive = std::weak_ptr<char>(alive_), fn = std::move(fn)] {
-        if (alive.expired()) return;  // runtime destroyed; stale event
-        fn();
-      });
+  return schedule_at_guarded(loop_.now() + delay, std::move(fn));
 }
 
 EventLoop::EventId GBoosterRuntime::schedule_at_guarded(
@@ -183,23 +171,21 @@ bool GBoosterRuntime::can_issue_frame() {
   // Under overload the governor shrinks the pending window (DESIGN.md §11):
   // frames admitted past what the transport can carry only queue behind the
   // repair traffic and fatten the display tail.
-  const int window = governor_ != nullptr
-                         ? governor_->depth_cap(config_.max_pending_requests)
-                         : config_.max_pending_requests;
+  const int window = governor_.depth_cap(config_.max_pending_requests);
   // Frames held for the join handshake occupy window slots: the application
   // keeps generating up to the window during the manifest wait, then the
   // whole cohort flows at once.
   if (static_cast<int>(active_in_flight() + join_hold_.size()) < window) {
     return true;
   }
-  if (governor_ != nullptr) {
-    // All-dead, no fallback: frames are shed at the head (on_frame), so the
-    // application is never throttled against a void.
-    if (!config_.enable_local_fallback && dispatcher_.healthy_count() == 0) {
-      return true;
-    }
-    // Keep-latest: a full window admits the new frame when an older
-    // undispatched one can be shed in its place.
+  // All-dead, no fallback: frames are shed at the head (on_frame), so the
+  // application is never throttled against a void.
+  if (!config_.enable_local_fallback && dispatcher_.healthy_count() == 0) {
+    return true;
+  }
+  // Keep-latest: a full window admits the new frame when an older
+  // undispatched one can be shed in its place.
+  if (governor_.keep_latest()) {
     for (const auto& [sequence, flight] : in_flight_) {
       if (!flight.dispatched && !flight.local && !flight.shed) return true;
     }
@@ -212,13 +198,13 @@ void GBoosterRuntime::qos_tick() {
   const double backlog_ms =
       endpoint_.route() != nullptr ? endpoint_.route()->backlog().ms() : 0.0;
   const std::size_t depth = active_in_flight();
-  if (governor_->evaluate(loop_.now(), backlog_ms, depth)) {
+  if (governor_.evaluate(loop_.now(), backlog_ms, depth)) {
     if (runtime::kTracingCompiledIn && tracer_ != nullptr) {
       tracer_->instant(
           "qos_level", endpoint_.id(), loop_.now(),
-          {{"level", static_cast<double>(governor_->level())},
-           {"quality", static_cast<double>(governor_->quality())},
-           {"window_p95_ms", governor_->last_window_p95_ms()},
+          {{"level", static_cast<double>(governor_.level())},
+           {"quality", static_cast<double>(governor_.quality())},
+           {"window_p95_ms", governor_.last_window_p95_ms()},
            {"backlog_ms", backlog_ms},
            {"pending_depth", static_cast<double>(depth)}});
     }
@@ -300,9 +286,7 @@ bool GBoosterRuntime::on_frame(wire::FrameCommands frame) {
     join_hold_.push_back(std::move(frame));
     return true;
   }
-  if (governor_ != nullptr) return on_frame_governed(std::move(frame));
   const std::uint64_t sequence = frame.sequence;
-
   // Eq. 4 inputs.
   const double workload = workload_override_
                               ? workload_override_()
@@ -310,112 +294,71 @@ bool GBoosterRuntime::on_frame(wire::FrameCommands frame) {
   const bool no_healthy = dispatcher_.healthy_count() == 0;
   const bool local = no_healthy && config_.enable_local_fallback;
 
+  // All devices dead, no fallback: admitting the frame would only flood a
+  // dead device's stream with payloads the gap timeout later reclaims, and
+  // wedge the window once it fills. Shed at the head instead: no transport
+  // traffic, no stall — the presenter steps straight over the sequence.
+  if (no_healthy && !local) {
+    stats_.frames_shed_void++;
+    shed_sequences_.insert(sequence);
+    if (device_nodes_.size() > 1) {
+      // The replicas miss this frame's state records for real (the shadow
+      // context still has them, so a revival snapshot recovers the stream).
+      state_apply_floor_ = std::max(state_apply_floor_, sequence + 1);
+      if (config_.snapshot_recovery) {
+        needs_snapshot_.assign(needs_snapshot_.size(), true);
+      }
+    } else {
+      apply_floors_[0] = std::max(apply_floors_[0], sequence + 1);
+    }
+    if (runtime::kTracingCompiledIn && tracer_ != nullptr) {
+      tracer_->instant("frame_shed", endpoint_.id(), loop_.now(),
+                       {{"sequence", static_cast<double>(sequence)},
+                        {"cause_void", 1.0}});
+    }
+    present_in_order();
+    return true;
+  }
+
+  // Keep-latest: when the window is full, the oldest frame still waiting for
+  // the packing core is shed to make room — the new frame carries fresher
+  // input, and a frame that has not been dispatched yet is the only one that
+  // can be reclaimed without desyncing a cache mirror.
+  if (governor_.keep_latest() &&
+      static_cast<int>(active_in_flight()) >=
+          governor_.depth_cap(config_.max_pending_requests)) {
+    for (auto& [old_sequence, old_flight] : in_flight_) {
+      if (!old_flight.dispatched && !old_flight.local && !old_flight.shed) {
+        stats_.frames_shed_window++;
+        mark_shed(old_sequence, old_flight, "window");
+        break;
+      }
+    }
+  }
+
   std::size_t device_index = 0;
   if (!local) {
-    // With fallback disabled and every device dead, keep sending into the
-    // void (device 0): the display gap timeout then reclaims the frames —
-    // the diagnostic behaviour of a system without graceful degradation.
-    // (The QoS governor path sheds at the head instead.)
-    device_index = no_healthy ? 0 : dispatcher_.pick(workload);
+    device_index = dispatcher_.pick(workload);
     trace_dispatch(sequence, workload, device_index);
     dispatcher_.on_assigned(device_index, workload);
   }
 
-  const compress::CacheStats state_cache_before = stats_.state_cache;
-  const compress::CacheStats render_cache_before = stats_.render_cache;
-
-  // Multi-device consistency (§VI-B): the frame's state-mutating records go
-  // to everyone — also while every device is down, since the reliable layer
-  // keeps retransmitting and heals recovering replicas. Single-device
-  // sessions skip the redundant copy.
-  Bytes state_message;
-  if (device_nodes_.size() > 1) {
-    StateHeader header;
-    header.sequence = sequence;
-    header.renderer_node = local ? 0 : device_nodes_[device_index];
-    header.cache_epoch = state_epoch_;
-    header.apply_floor = state_apply_floor_;
-    state_message =
-        make_state_message(header, state_subset(frame), state_cache_,
-                           stats_.state_cache, state_manifest());
-  }
-
-  Bytes render_message;
-  if (!local) {
-    RenderRequestHeader header;
-    header.sequence = sequence;
-    header.workload_pixels = workload;
-    header.priority = config_.request_priority;
-    header.cache_epoch = cache_epochs_[device_index];
-    header.apply_floor = apply_floors_[device_index];
-    header.mirror_rev = mirror_revs_[device_index]++;
-    render_message = make_render_message(
-        header, frame, *render_caches_[device_index], stats_.render_cache,
-        device_manifest(device_index));
-  }
-
-  // Charge the user-device CPU for serialization + compression; the packed
-  // bytes leave once the (single) packing core gets through them.
-  const std::size_t total_bytes = render_message.size() + state_message.size();
-  double serialize_s = 0.0;
-  if (total_bytes > 0) {
-    serialize_s = static_cast<double>(total_bytes) * 8.0 /
-                      config_.serialize_throughput_bps +
-                  0.0003;
-    stats_.serialize_seconds += serialize_s;
-    cpu_busy_until_ =
-        std::max(cpu_busy_until_, loop_.now()) + seconds(serialize_s);
-    if (runtime::kTracingCompiledIn && tracer_ != nullptr) {
-      // Queue wait on the packing core counts toward serialize: the span
-      // runs from issue until the payload leaves the user device.
-      tracer_->span(runtime::Stage::kSerialize, endpoint_.id(), sequence,
-                    loop_.now(), cpu_busy_until_);
-      const auto& rc = stats_.render_cache;
-      const auto& sc = stats_.state_cache;
-      const double deduped = static_cast<double>(
-          (rc.bytes_out - render_cache_before.bytes_out) +
-          (sc.bytes_out - state_cache_before.bytes_out));
-      tracer_->instant(
-          "encode", endpoint_.id(), loop_.now(),
-          {{"sequence", static_cast<double>(sequence)},
-           {"cache_hits",
-            static_cast<double>((rc.hits - render_cache_before.hits) +
-                                (sc.hits - state_cache_before.hits))},
-           {"cache_misses",
-            static_cast<double>((rc.misses - render_cache_before.misses) +
-                                (sc.misses - state_cache_before.misses))},
-           {"raw_bytes", static_cast<double>(
-                             (rc.bytes_in - render_cache_before.bytes_in) +
-                             (sc.bytes_in - state_cache_before.bytes_in))},
-           {"deduped_bytes", deduped},
-           {"wire_bytes", static_cast<double>(total_bytes)},
-           {"lz4_ratio", deduped > 0.0
-                             ? static_cast<double>(total_bytes) / deduped
-                             : 1.0}});
-    }
-  }
-
-  if (!local) stats_.frames_offloaded++;
-  stats_.bytes_sent += total_bytes;
-  const std::uint64_t depth = in_flight_.size() + 1;
+  const std::uint64_t depth = active_in_flight() + 1;
   stats_.pending_depth_sum += depth;
   stats_.pending_depth_samples++;
   stats_.pending_depth_max = std::max(stats_.pending_depth_max, depth);
-  if (!state_message.empty()) stats_.state_messages++;
 
   InFlight flight;
   flight.issued = loop_.now();
   flight.device_index = device_index;
   flight.workload = workload;
-  flight.sent_bytes = total_bytes;
-  flight.serialize_s = serialize_s;
   flight.local = local;
   // Shadow replica: offloaded frames contribute their state records now, so
   // the local context can take over mid-stream; fallback frames replay in
   // full when they render (exactly once either way).
   if (!local && local_gles_ != nullptr) {
     try {
-      wire::replay_frame(state_subset(frame), *local_gles_);
+      wire::replay_frame(subset(frame, /*state=*/true), *local_gles_);
     } catch (const Error&) {
       // A divergent replica only degrades fallback pixels, never the stream.
     }
@@ -424,12 +367,12 @@ bool GBoosterRuntime::on_frame(wire::FrameCommands frame) {
   flight.records = std::move(frame);
   in_flight_.emplace(sequence, std::move(flight));
 
-  if (!state_message.empty() || !render_message.empty()) {
-    schedule_payload_send(sequence, device_index, std::move(state_message),
-                          std::move(render_message));
-  }
-
-  if (local) render_locally(sequence);
+  // Encode is deferred to pump pickup — the frame may still be shed, and a
+  // shed frame must never have touched the mirrors. Local frames also flow
+  // through the queue so their state-only multicast encodes in sequence
+  // order against the shared state cache.
+  dispatch_queue_.push_back(sequence);
+  schedule_pump();
   return true;
 }
 
@@ -519,96 +462,6 @@ void GBoosterRuntime::schedule_payload_send(std::uint64_t sequence,
       });
 }
 
-// --- governor-mode dispatch (DESIGN.md §11) ---------------------------------
-
-bool GBoosterRuntime::on_frame_governed(wire::FrameCommands frame) {
-  const std::uint64_t sequence = frame.sequence;
-  const double workload = workload_override_
-                              ? workload_override_()
-                              : recorder_->last_frame_profile().workload_pixels;
-  const bool no_healthy = dispatcher_.healthy_count() == 0;
-  const bool local = no_healthy && config_.enable_local_fallback;
-
-  // All devices dead, no fallback: admitting the frame would only flood a
-  // dead device's stream with payloads the gap timeout later reclaims (the
-  // legacy diagnostic behaviour). Shed at the head instead: no transport
-  // traffic, no stall — the presenter steps straight over the sequence.
-  if (no_healthy && !local) {
-    stats_.frames_shed_void++;
-    shed_sequences_.insert(sequence);
-    if (device_nodes_.size() > 1) {
-      // The replicas miss this frame's state records for real (the shadow
-      // context still has them, so a revival snapshot recovers the stream).
-      state_apply_floor_ = std::max(state_apply_floor_, sequence + 1);
-      if (config_.snapshot_recovery) {
-        needs_snapshot_.assign(needs_snapshot_.size(), true);
-      }
-    } else {
-      apply_floors_[0] = std::max(apply_floors_[0], sequence + 1);
-    }
-    if (runtime::kTracingCompiledIn && tracer_ != nullptr) {
-      tracer_->instant("frame_shed", endpoint_.id(), loop_.now(),
-                       {{"sequence", static_cast<double>(sequence)},
-                        {"cause_void", 1.0}});
-    }
-    present_in_order();
-    return true;
-  }
-
-  // Keep-latest: when the window is full, the oldest frame still waiting for
-  // the packing core is shed to make room — the new frame carries fresher
-  // input, and a frame that has not been dispatched yet is the only one that
-  // can be reclaimed without desyncing a cache mirror.
-  if (static_cast<int>(active_in_flight()) >=
-      governor_->depth_cap(config_.max_pending_requests)) {
-    for (auto& [old_sequence, old_flight] : in_flight_) {
-      if (!old_flight.dispatched && !old_flight.local && !old_flight.shed) {
-        stats_.frames_shed_window++;
-        mark_shed(old_sequence, old_flight, "window");
-        break;
-      }
-    }
-  }
-
-  std::size_t device_index = 0;
-  if (!local) {
-    device_index = dispatcher_.pick(workload);
-    trace_dispatch(sequence, workload, device_index);
-    dispatcher_.on_assigned(device_index, workload);
-  }
-
-  const std::uint64_t depth = active_in_flight() + 1;
-  stats_.pending_depth_sum += depth;
-  stats_.pending_depth_samples++;
-  stats_.pending_depth_max = std::max(stats_.pending_depth_max, depth);
-
-  InFlight flight;
-  flight.issued = loop_.now();
-  flight.device_index = device_index;
-  flight.workload = workload;
-  flight.local = local;
-  // Shadow replica: same contract as the legacy path (state records feed the
-  // local context at issue for offloaded frames).
-  if (!local && local_gles_ != nullptr) {
-    try {
-      wire::replay_frame(state_subset(frame), *local_gles_);
-    } catch (const Error&) {
-      // A divergent replica only degrades fallback pixels, never the stream.
-    }
-  }
-  flight.state_applied_locally = !local;
-  flight.records = std::move(frame);
-  in_flight_.emplace(sequence, std::move(flight));
-
-  // Encode is deferred to pump pickup — the frame may still be shed, and a
-  // shed frame must never have touched the mirrors. Local frames also flow
-  // through the queue so their state-only multicast encodes in sequence
-  // order against the shared state cache.
-  dispatch_queue_.push_back(sequence);
-  schedule_pump();
-  return true;
-}
-
 void GBoosterRuntime::mark_shed(std::uint64_t sequence, InFlight& flight,
                                 const char* cause, bool release_assignment) {
   flight.shed = true;
@@ -629,6 +482,65 @@ void GBoosterRuntime::mark_shed(std::uint64_t sequence, InFlight& flight,
   // Wake the presenter on its own event: it may reclaim in_flight_ entries,
   // and callers of mark_shed still hold references into the table.
   schedule_at_guarded(loop_.now(), [this] { present_in_order(); });
+}
+
+Bytes GBoosterRuntime::encode_render(std::uint64_t sequence, InFlight& flight,
+                                     bool redispatch) {
+  const std::size_t index = flight.device_index;
+  RenderRequestHeader header;
+  header.sequence = sequence;
+  header.workload_pixels = flight.workload;
+  header.priority = config_.request_priority;
+  header.cache_epoch = cache_epochs_[index];
+  header.apply_floor = apply_floors_[index];
+  header.mirror_rev = mirror_revs_[index]++;
+  // A re-dispatch target already holds (or will hold) this frame's state
+  // records from the multicast copy, so it replays draws only, and it
+  // encodes at the service default.
+  header.redispatch = redispatch;
+  if (!redispatch) {
+    header.quality = governor_.quality();
+    header.skip_threshold = governor_.skip_threshold();
+    flight.quality = header.quality;
+    stats_.frames_offloaded++;
+  }
+  flight.dispatched = true;  // the pump must not dispatch it again
+  return make_render_message(header, flight.records, *render_caches_[index],
+                             stats_.render_cache, device_manifest(index));
+}
+
+double GBoosterRuntime::charge_packing(std::size_t bytes) {
+  const double serialize_s =
+      static_cast<double>(bytes) * 8.0 / config_.serialize_throughput_bps +
+      0.0003;
+  stats_.serialize_seconds += serialize_s;
+  stats_.bytes_sent += bytes;
+  cpu_busy_until_ =
+      std::max(cpu_busy_until_, loop_.now()) + seconds(serialize_s);
+  return serialize_s;
+}
+
+void GBoosterRuntime::trace_encode(std::uint64_t sequence,
+                                   const compress::CacheStats& render_before,
+                                   const compress::CacheStats& state_before,
+                                   std::size_t wire_bytes) {
+  if (!runtime::kTracingCompiledIn || tracer_ == nullptr) return;
+  // Growth of one CacheStats counter across both caches since the snapshots.
+  const auto delta = [&](std::uint64_t compress::CacheStats::*field) {
+    return static_cast<double>(
+        (stats_.render_cache.*field - render_before.*field) +
+        (stats_.state_cache.*field - state_before.*field));
+  };
+  const double deduped = delta(&compress::CacheStats::bytes_out);
+  const double wire = static_cast<double>(wire_bytes);
+  tracer_->instant("encode", endpoint_.id(), loop_.now(),
+                   {{"sequence", static_cast<double>(sequence)},
+                    {"cache_hits", delta(&compress::CacheStats::hits)},
+                    {"cache_misses", delta(&compress::CacheStats::misses)},
+                    {"raw_bytes", delta(&compress::CacheStats::bytes_in)},
+                    {"deduped_bytes", deduped},
+                    {"wire_bytes", wire},
+                    {"lz4_ratio", deduped > 0.0 ? wire / deduped : 1.0}});
 }
 
 void GBoosterRuntime::schedule_pump() {
@@ -656,7 +568,7 @@ void GBoosterRuntime::pump_dispatch_queue() {
     // Deadline shedding: a frame that sat in the queue past the governor's
     // staleness deadline carries input the player has visually moved past.
     if (!flight.shed && !flight.local &&
-        loop_.now() - flight.issued > governor_->shed_deadline()) {
+        governor_.stale(loop_.now() - flight.issued)) {
       stats_.frames_shed_deadline++;
       mark_shed(sequence, flight, "deadline");
     }
@@ -665,57 +577,39 @@ void GBoosterRuntime::pump_dispatch_queue() {
     // state-only copy in multi-device mode — a hole in the state stream
     // would poison every replica's decode timeline — with renderer_node 0 so
     // every replica applies it. Local frames multicast state the same way.
-    const bool send_render_msg = !flight.shed && !flight.local;
+    const bool offload = !flight.shed && !flight.local;
+    const compress::CacheStats render_before = stats_.render_cache;
+    const compress::CacheStats state_before = stats_.state_cache;
     Bytes state_message;
     if (device_nodes_.size() > 1) {
       StateHeader header;
       header.sequence = sequence;
-      header.renderer_node =
-          send_render_msg ? device_nodes_[flight.device_index] : 0;
+      header.renderer_node = offload ? device_nodes_[flight.device_index] : 0;
       header.cache_epoch = state_epoch_;
       header.apply_floor = state_apply_floor_;
       state_message =
-          make_state_message(header, state_subset(flight.records),
+          make_state_message(header, subset(flight.records, /*state=*/true),
                              state_cache_, stats_.state_cache,
                              state_manifest());
     }
     Bytes render_message;
-    if (send_render_msg) {
-      RenderRequestHeader header;
-      header.sequence = sequence;
-      header.workload_pixels = flight.workload;
-      header.priority = config_.request_priority;
-      header.cache_epoch = cache_epochs_[flight.device_index];
-      header.apply_floor = apply_floors_[flight.device_index];
-      header.quality = governor_->quality();
-      header.skip_threshold = governor_->skip_threshold();
-      header.mirror_rev = mirror_revs_[flight.device_index]++;
-      flight.quality = header.quality;
-      render_message = make_render_message(
-          header, flight.records, *render_caches_[flight.device_index],
-          stats_.render_cache, device_manifest(flight.device_index));
-      flight.dispatched = true;
-      stats_.frames_offloaded++;
-    }
+    if (offload) render_message = encode_render(sequence, flight, false);
 
     const std::size_t total_bytes =
         render_message.size() + state_message.size();
     if (total_bytes > 0) {
-      const double serialize_s = static_cast<double>(total_bytes) * 8.0 /
-                                     config_.serialize_throughput_bps +
-                                 0.0003;
-      stats_.serialize_seconds += serialize_s;
-      cpu_busy_until_ =
-          std::max(cpu_busy_until_, loop_.now()) + seconds(serialize_s);
-      stats_.bytes_sent += total_bytes;
-      if (send_render_msg) {
+      const double serialize_s = charge_packing(total_bytes);
+      if (!flight.shed) {
         flight.sent_bytes = total_bytes;
         flight.serialize_s = serialize_s;
         if (runtime::kTracingCompiledIn && tracer_ != nullptr) {
+          // Queue wait on the packing core counts toward serialize: the span
+          // runs from issue until the payload leaves the user device.
           tracer_->span(runtime::Stage::kSerialize, endpoint_.id(), sequence,
-                        loop_.now(), cpu_busy_until_);
+                        flight.issued, cpu_busy_until_);
         }
       }
+      trace_encode(sequence, render_before, state_before, total_bytes);
       if (!state_message.empty()) stats_.state_messages++;
       schedule_payload_send(sequence, flight.device_index,
                             std::move(state_message),
@@ -734,11 +628,6 @@ void GBoosterRuntime::pump_dispatch_queue() {
 }
 
 // --- shared-store dedup (DESIGN.md §14) -------------------------------------
-
-const compress::SharedManifest* GBoosterRuntime::device_manifest(
-    std::size_t index) const {
-  return manifests_[index].get();
-}
 
 void GBoosterRuntime::join_tick() {
   // The endpoint may not be routed yet (runtime constructed before media
@@ -1086,12 +975,11 @@ void GBoosterRuntime::redispatch_frame(std::uint64_t sequence) {
   apply_floors_[old_index] =
       std::max(apply_floors_[old_index], sequence + 1);
 
-  // A frame still waiting in the governor's dispatch queue was never
-  // encoded: the pump routes it (fresh render message to the new target, or
-  // local render) in queue order, so its state-only multicast encodes
-  // against the shared cache in sequence order.
-  const bool queued =
-      governor_ != nullptr && !flight.dispatched && !flight.local;
+  // A frame still waiting in the dispatch queue was never encoded: the pump
+  // routes it (fresh render message to the new target, or local render) in
+  // queue order, so its state-only multicast encodes against the shared
+  // cache in sequence order.
+  const bool queued = !flight.dispatched && !flight.local;
   if (dispatcher_.healthy_count() == 0) {
     if (config_.enable_local_fallback) {
       if (queued) {
@@ -1114,62 +1002,10 @@ void GBoosterRuntime::redispatch_frame(std::uint64_t sequence) {
   flight.device_index = target;
   if (queued) return;  // never sent anywhere: the pump dispatches normally
   stats_.frames_redispatched++;
-  send_render(sequence, target);
-}
-
-void GBoosterRuntime::send_render(std::uint64_t sequence,
-                                  std::size_t device_index) {
-  InFlight& flight = in_flight_.at(sequence);
-  flight.dispatched = true;  // the pump must not dispatch it a second time
-  RenderRequestHeader header;
-  header.sequence = sequence;
-  header.workload_pixels = flight.workload;
-  header.priority = config_.request_priority;
-  // Re-dispatch: the target already holds (or will hold) this frame's state
-  // records from the multicast copy — it must replay draws only.
-  header.redispatch = true;
-  header.cache_epoch = cache_epochs_[device_index];
-  header.apply_floor = apply_floors_[device_index];
-  header.mirror_rev = mirror_revs_[device_index]++;
-  Bytes message = make_render_message(
-      header, flight.records, *render_caches_[device_index],
-      stats_.render_cache, device_manifest(device_index));
-
-  const double serialize_s = static_cast<double>(message.size()) * 8.0 /
-                                 config_.serialize_throughput_bps +
-                             0.0003;
-  stats_.serialize_seconds += serialize_s;
-  cpu_busy_until_ =
-      std::max(cpu_busy_until_, loop_.now()) + seconds(serialize_s);
-  stats_.bytes_sent += message.size();
+  Bytes message = encode_render(sequence, flight, /*redispatch=*/true);
   flight.sent_bytes += message.size();
-
-  const net::NodeId renderer = device_nodes_[device_index];
-  const std::uint32_t render_epoch = cache_epochs_[device_index];
-  schedule_at_guarded(
-      cpu_busy_until_,
-      [this, sequence, device_index, renderer, render_epoch,
-       message = std::move(message)]() mutable {
-        const auto it = in_flight_.find(sequence);
-        if (it == in_flight_.end() || it->second.local ||
-            it->second.device_index != device_index) {
-          return;  // re-routed again (or reclaimed) while packing
-        }
-        if (cache_epochs_[device_index] != render_epoch) {
-          // Mirror restarted while this payload was queued (see on_frame).
-          apply_floors_[device_index] =
-              std::max(apply_floors_[device_index], sequence + 1);
-          return;
-        }
-        const std::uint64_t id = endpoint_.send(renderer, std::move(message));
-        it->second.has_render_msg = true;
-        it->second.render_msg_id = id;
-        msg_to_seq_[{renderer, id}] = sequence;
-        if (runtime::kTracingCompiledIn && tracer_ != nullptr) {
-          tracer_->begin(runtime::Stage::kUplink, endpoint_.id(), sequence,
-                         loop_.now());
-        }
-      });
+  charge_packing(message.size());
+  schedule_payload_send(sequence, target, {}, std::move(message));
 }
 
 bool GBoosterRuntime::snapshot_pending(std::size_t index) const {
@@ -1205,13 +1041,7 @@ void GBoosterRuntime::send_snapshot(std::size_t index) {
 
   // Charge the packing core for the serialization, but transmit immediately:
   // a deferred send could straddle an epoch reset and ship a stale mirror.
-  const double serialize_s = static_cast<double>(message.size()) * 8.0 /
-                                 config_.serialize_throughput_bps +
-                             0.0003;
-  stats_.serialize_seconds += serialize_s;
-  cpu_busy_until_ =
-      std::max(cpu_busy_until_, loop_.now()) + seconds(serialize_s);
-  stats_.bytes_sent += message.size();
+  charge_packing(message.size());
   stats_.snapshots_sent++;
   const net::NodeId node = device_nodes_[index];
   const std::uint64_t id = endpoint_.send(node, std::move(message));
@@ -1227,15 +1057,7 @@ std::size_t GBoosterRuntime::add_service_device(const ServiceDeviceInfo& info) {
         "hot-join: service device node already present");
   const bool was_single = device_nodes_.size() == 1;
   const std::size_t index = dispatcher_.add_device(info);
-  device_nodes_.push_back(info.node);
-  render_caches_.push_back(std::make_unique<compress::CommandCache>());
-  cache_epochs_.push_back(0);
-  mirror_revs_.push_back(0);
-  apply_floors_.push_back(0);
-  needs_snapshot_.push_back(false);
-  snapshot_covers_ids_.push_back(0);
-  manifests_.push_back(nullptr);
-  migration_dark_.push_back(0);
+  add_device_slot(info.node);
   stats_.devices_hot_joined++;
   if (runtime::kTracingCompiledIn && tracer_ != nullptr) {
     tracer_->instant("device_hot_joined", info.node, loop_.now());
@@ -1361,8 +1183,7 @@ void GBoosterRuntime::cold_restart_device(std::size_t index,
     if (!flight.shed) {
       dispatcher_.on_abandoned(flight.device_index, flight.workload);
       stats_.frames_dropped++;
-      if (!flight.dispatched && governor_ != nullptr &&
-          device_nodes_.size() > 1) {
+      if (!flight.dispatched && device_nodes_.size() > 1) {
         state_apply_floor_ = std::max(state_apply_floor_, it->first + 1);
       }
     }
@@ -1435,7 +1256,7 @@ void GBoosterRuntime::render_locally(std::uint64_t sequence) {
         // to the replica at issue time; replaying them again would re-run
         // non-idempotent records (glGen*), so only the draws remain.
         wire::replay_frame(flight.state_applied_locally
-                               ? draw_subset(flight.records)
+                               ? subset(flight.records, /*state=*/false)
                                : flight.records,
                            *local_gles_);
       } catch (const Error&) {
@@ -1452,9 +1273,8 @@ void GBoosterRuntime::render_locally(std::uint64_t sequence) {
 
 // --- results ----------------------------------------------------------------
 
-void GBoosterRuntime::on_message(net::NodeId src, net::NodeId stream,
+void GBoosterRuntime::on_message(net::NodeId src, net::NodeId /*stream*/,
                                  Bytes message) {
-  (void)stream;
   // A cold-restarting slot's old device is disconnected: late frame results
   // and pongs from it must neither display nor revive the breaker (they
   // would mask the very blackout the baseline measures).
@@ -1500,10 +1320,9 @@ void GBoosterRuntime::on_message(net::NodeId src, net::NodeId stream,
     }
   }
   stats_.bytes_received += parsed->header.nominal_bytes;
-  if (governor_ != nullptr && !parsed->header.shed &&
-      parsed->header.nominal_bytes > 0 && flight.quality > 0) {
+  if (!parsed->header.shed && parsed->header.nominal_bytes > 0) {
     // Downlink frame cost at its encode quality: prices the bitrate ladder.
-    governor_->on_frame_bytes(parsed->header.nominal_bytes, flight.quality);
+    governor_.on_frame_bytes(parsed->header.nominal_bytes, flight.quality);
   }
 
   if (parsed->header.shed) {
@@ -1601,11 +1420,10 @@ void GBoosterRuntime::present_in_order() {
             InFlight& stale = lost->second;
             if (!stale.local && !stale.shed) {
               dispatcher_.on_abandoned(stale.device_index, stale.workload);
-              // A governed frame reclaimed before the pump dispatched it
-              // never produced a state message: replicas must not wait for
-              // its sequence.
-              if (!stale.dispatched && governor_ != nullptr &&
-                  device_nodes_.size() > 1) {
+              // A frame reclaimed before the pump dispatched it never
+              // produced a state message: replicas must not wait for its
+              // sequence.
+              if (!stale.dispatched && device_nodes_.size() > 1) {
                 state_apply_floor_ =
                     std::max(state_apply_floor_, lost->first + 1);
               }
@@ -1639,9 +1457,7 @@ void GBoosterRuntime::present_in_order() {
     if (display_) {
       display_(sequence, loop_.now() - frame.issued, frame.content);
     }
-    if (governor_ != nullptr) {
-      governor_->on_frame_displayed((loop_.now() - frame.issued).ms());
-    }
+    governor_.on_frame_displayed((loop_.now() - frame.issued).ms());
     if (frame.quality > 0) {
       stats_.quality_sum += static_cast<std::uint64_t>(frame.quality);
       stats_.quality_samples++;

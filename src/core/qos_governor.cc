@@ -9,11 +9,12 @@ namespace gb::core {
 QosGovernor::QosGovernor(QosGovernorConfig config) : config_(config) {}
 
 void QosGovernor::on_frame_displayed(double latency_ms) {
+  if (!config_.enabled) return;  // no control windows to fill
   window_latencies_.push_back(latency_ms);
 }
 
 void QosGovernor::on_frame_bytes(std::size_t bytes, int quality) {
-  if (quality <= 0) return;
+  if (!config_.enabled || quality <= 0) return;
   // Normalize to what this frame would have cost at base quality (JPEG size
   // scales roughly linearly with the quality knob over the ladder's range),
   // so the estimate is comparable across level changes.
@@ -135,10 +136,12 @@ int QosGovernor::quality_for_level(int level) const noexcept {
 }
 
 int QosGovernor::quality() const noexcept {
+  if (!config_.enabled) return 0;
   return quality_for_level(effective_level());
 }
 
 int QosGovernor::skip_threshold() const noexcept {
+  if (!config_.enabled) return -1;
   return std::min(
       config_.max_skip_threshold,
       config_.base_skip_threshold + effective_level() * config_.skip_step);
@@ -149,7 +152,12 @@ SimTime QosGovernor::shed_deadline() const noexcept {
   return SimTime::from_ms(2.0 * config_.target_p95_ms);
 }
 
+bool QosGovernor::stale(SimTime waited) const noexcept {
+  return config_.enabled && waited > shed_deadline();
+}
+
 int QosGovernor::depth_cap(int configured_max) const noexcept {
+  if (!config_.enabled) return configured_max;
   return std::max(std::min(config_.min_depth, configured_max),
                   configured_max - effective_level() * config_.depth_step);
 }

@@ -15,6 +15,12 @@
 //
 // Everything is driven by the deterministic sim clock and plain arithmetic:
 // decisions are bit-identical across worker-thread counts and runs.
+//
+// Disabled (`enabled == false`), the governor is the null policy every
+// session without overload control runs: the window is the configured
+// maximum, nothing is shed for staleness or to admit a newer frame, the
+// codec knobs stay at the service defaults (quality 0, skip threshold -1),
+// and the sample feeds do nothing.
 #pragma once
 
 #include <cstdint>
@@ -130,9 +136,17 @@ class QosGovernor {
   [[nodiscard]] int proactive_level() const noexcept {
     return proactive_level_;
   }
+  // Encoder overrides for the next dispatched frame; 0 and -1 (the service
+  // defaults) under the null policy.
   [[nodiscard]] int quality() const noexcept;
   [[nodiscard]] int skip_threshold() const noexcept;
   [[nodiscard]] SimTime shed_deadline() const noexcept;
+  // Whether an undispatched frame that has waited `waited` since issue is
+  // past the shed deadline (never under the null policy).
+  [[nodiscard]] bool stale(SimTime waited) const noexcept;
+  // Whether a full window sheds its oldest undispatched frame to admit a
+  // newer one (keep-latest; never under the null policy).
+  [[nodiscard]] bool keep_latest() const noexcept { return config_.enabled; }
   // The pending-window cap at the current degradation level.
   [[nodiscard]] int depth_cap(int configured_max) const noexcept;
   // The p95 of the most recently closed window (0 when it had no samples).

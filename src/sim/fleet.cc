@@ -124,7 +124,7 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioConfig& config) {
     gb_config.max_pending_requests = config.max_pending;
     gb_config.state_group = 0xff00 + static_cast<net::NodeId>(u);
     gb_config.qos = config.qos;
-    gb_config.enable_local_fallback = config.local_fallback;
+    gb_config.enable_local_fallback = false;
     if (config.shared_dedup) {
       gb_config.shared_dedup = true;
       gb_config.app_id = spec.app_id;

@@ -57,13 +57,10 @@ struct FleetScenarioConfig {
   int render_height = 72;
   int content_sample_every = 8;
   int max_pending = 2;
-  // Per-user QoS governor. Cold-migration scenarios must enable it: with
-  // the slot dark and local fallback off, the legacy issue path has no
-  // healthy device to pick (the governor sheds those frames void instead).
+  // Per-user QoS governor (the null policy unless enabled). Fleet users run
+  // without local fallback, so migration cost shows up as blackout and
+  // frames shed while a slot is dark, instead of being papered over.
   core::QosGovernorConfig qos;
-  // Local-GPU fallback while a slot is dark. Off by default so migration
-  // cost shows up as blackout/drops instead of being papered over.
-  bool local_fallback = false;
   bool shared_dedup = false;
   // Carries residency across harness calls when set (else created fresh
   // whenever shared_dedup is on). The same registry backs every fleet

@@ -288,8 +288,9 @@ SoakReport run_soak(const SoakPlan& plan) {
     gb_config.max_pending_requests = plan.max_pending;
     gb_config.state_group = 0xff00 + static_cast<net::NodeId>(s);
     gb_config.qos = plan.qos;
-    // Dark windows are a designed-in axis (outages, cold migrations): the
-    // governor must shed them rather than wedge the legacy issue path.
+    // Overload bursts are a designed-in axis: every slot runs the governor.
+    // Dark windows (outages, cold migrations) shed at the head, as in any
+    // session with local fallback off.
     gb_config.qos.enabled = true;
     gb_config.enable_local_fallback = false;
     if (plan.shared_dedup) {

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cmath>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -430,6 +431,56 @@ void expect_spans_reconcile(const runtime::Tracer& tracer,
   }
   EXPECT_NEAR(stage_total_ms / static_cast<double>(metrics.frames_displayed),
               metrics.avg_issue_to_display_ms, 1e-6);
+}
+
+// Every packed frame emits one `encode` instant from the dispatch pump, with
+// or without the QoS governor, and the instants' cache and wire figures sum
+// to the session's cache-stat and byte totals. Two devices, so both the
+// render and the state caches contribute; a clean link, so no frame is
+// re-encoded for a second device.
+TEST(Reconciliation, EncodeInstantsSumToCacheStats) {
+  GB_SKIP_IF_TRACING_COMPILED_OUT();
+  for (const bool governed : {false, true}) {
+    SCOPED_TRACE(governed ? "qos.enabled = true" : "qos.enabled = false");
+    runtime::Tracer tracer;
+    sim::SessionConfig config = short_offload_config();
+    config.service_devices = {device::nvidia_shield(),
+                              device::nvidia_shield()};
+    config.wifi_loss_rate = 0.0;
+    config.bt_loss_rate = 0.0;
+    config.gbooster.qos.enabled = governed;
+    config.tracer = &tracer;
+    const sim::SessionResult result = sim::run_session(config);
+    const core::GBoosterStats& g = result.gbooster;
+    ASSERT_GT(g.frames_offloaded, 10u);
+    ASSERT_EQ(g.frames_redispatched, 0u);
+    ASSERT_EQ(g.snapshots_sent, 0u);
+
+    std::map<std::string, double> sums;
+    std::set<double> sequences;
+    std::uint64_t instants = 0;
+    for (const runtime::TraceInstant& instant : tracer.instants()) {
+      if (instant.name != "encode") continue;
+      ++instants;
+      for (const auto& [key, value] : instant.args) {
+        sums[key] += value;
+        if (key == "sequence") sequences.insert(value);
+      }
+    }
+    EXPECT_EQ(instants, g.frames_offloaded + g.frames_shed_window +
+                            g.frames_shed_deadline);
+    EXPECT_EQ(sequences.size(), instants);  // one per frame
+    const compress::CacheStats& rc = g.render_cache;
+    const compress::CacheStats& sc = g.state_cache;
+    EXPECT_EQ(sums["cache_hits"], static_cast<double>(rc.hits + sc.hits));
+    EXPECT_EQ(sums["cache_misses"],
+              static_cast<double>(rc.misses + sc.misses));
+    EXPECT_EQ(sums["raw_bytes"],
+              static_cast<double>(rc.bytes_in + sc.bytes_in));
+    EXPECT_EQ(sums["deduped_bytes"],
+              static_cast<double>(rc.bytes_out + sc.bytes_out));
+    EXPECT_EQ(sums["wire_bytes"], static_cast<double>(g.bytes_sent));
+  }
 }
 
 TEST(Reconciliation, StageSpansTileIssueToDisplay) {

@@ -425,10 +425,9 @@ TEST(Overload, GovernorShedsKeepLatestAndDegradesUnderPressure) {
   EXPECT_EQ(harness.displayed + stats.frames_shed_window +
                 stats.frames_shed_deadline,
             static_cast<std::uint64_t>(harness.issued));
-  const core::QosGovernor* governor = harness.gbooster->governor();
-  ASSERT_NE(governor, nullptr);
-  EXPECT_GT(governor->stats().level_raises, 0u);
-  EXPECT_GT(governor->stats().windows_overloaded, 0u);
+  const core::QosGovernor& governor = harness.gbooster->governor();
+  EXPECT_GT(governor.stats().level_raises, 0u);
+  EXPECT_GT(governor.stats().windows_overloaded, 0u);
   // Delivered quality dropped below the base of the ladder.
   ASSERT_GT(stats.quality_samples, 0u);
   EXPECT_LT(static_cast<double>(stats.quality_sum) /
@@ -463,64 +462,68 @@ TEST(Overload, ServiceAdmissionCapShedsAndNotifies) {
             static_cast<std::uint64_t>(harness.issued));
 }
 
-// All devices dead with local fallback off: the governed pipeline sheds at
-// the head ("send into the void" becomes an explicit drop) instead of
-// flooding the dead device's stream, and the app is never gated.
+// All devices dead with local fallback off: the pipeline sheds at the head
+// ("send into the void" becomes an explicit drop) instead of flooding the
+// dead device's stream, and the app is never gated — with the governor on,
+// and under the null policy too.
 TEST(Overload, AllDeadNoFallbackShedsAtHead) {
-  EventLoop loop;
-  net::MediumConfig mc;
-  mc.loss_rate = 0.0;
-  mc.jitter_ms = 0.0;
-  net::Medium wifi(loop, mc, Rng(4), "wifi");
-  net::FaultPlanConfig fcfg;
-  fcfg.outages.push_back({100, seconds(0.3), seconds(1000.0)});
-  net::FaultPlan plan(fcfg);
-  wifi.set_fault_plan(&plan);
+  for (const bool governed : {true, false}) {
+    SCOPED_TRACE(governed ? "qos.enabled = true" : "qos.enabled = false");
+    EventLoop loop;
+    net::MediumConfig mc;
+    mc.loss_rate = 0.0;
+    mc.jitter_ms = 0.0;
+    net::Medium wifi(loop, mc, Rng(4), "wifi");
+    net::FaultPlanConfig fcfg;
+    fcfg.outages.push_back({100, seconds(0.3), seconds(1000.0)});
+    net::FaultPlan plan(fcfg);
+    wifi.set_fault_plan(&plan);
 
-  auto service = std::make_unique<core::ServiceRuntime>(
-      loop, 100, device::nvidia_shield(), tiny_service_config());
-  service->endpoint().bind(wifi, nullptr);
-  service->set_fault_plan(&plan);
+    auto service = std::make_unique<core::ServiceRuntime>(
+        loop, 100, device::nvidia_shield(), tiny_service_config());
+    service->endpoint().bind(wifi, nullptr);
+    service->set_fault_plan(&plan);
 
-  core::GBoosterConfig config;
-  config.nominal_width = 64;
-  config.nominal_height = 48;
-  config.enable_local_fallback = false;
-  config.health.probe_interval = ms(50);
-  config.health.probe_timeout = ms(100);
-  config.qos.enabled = true;
-  net::ReliableEndpoint user(loop, 1);
-  user.bind(wifi, nullptr);
-  core::GBoosterRuntime gbooster(
-      loop, config, user,
-      std::vector<core::ServiceDeviceInfo>{{100, "shield", 6e9}});
-  user.set_handler([&](net::NodeId src, net::NodeId stream, Bytes message) {
-    gbooster.on_message(src, stream, std::move(message));
-  });
+    core::GBoosterConfig config;
+    config.nominal_width = 64;
+    config.nominal_height = 48;
+    config.enable_local_fallback = false;
+    config.health.probe_interval = ms(50);
+    config.health.probe_timeout = ms(100);
+    config.qos.enabled = governed;
+    net::ReliableEndpoint user(loop, 1);
+    user.bind(wifi, nullptr);
+    core::GBoosterRuntime gbooster(
+        loop, config, user,
+        std::vector<core::ServiceDeviceInfo>{{100, "shield", 6e9}});
+    user.set_handler([&](net::NodeId src, net::NodeId stream, Bytes message) {
+      gbooster.on_message(src, stream, std::move(message));
+    });
 
-  int issued = 0;
-  int refused = 0;
-  std::function<void()> tick = [&] {
-    if (loop.now().seconds() >= 3.0) return;
-    if (gbooster.can_issue_frame()) {
-      issue_tiny_frame(gbooster.wrapper());
-      ++issued;
-    } else {
-      ++refused;
-    }
-    loop.schedule_after(ms(50), tick);
-  };
-  tick();
-  loop.run_until(seconds(6.0));
+    int issued = 0;
+    int refused = 0;
+    std::function<void()> tick = [&] {
+      if (loop.now().seconds() >= 3.0) return;
+      if (gbooster.can_issue_frame()) {
+        issue_tiny_frame(gbooster.wrapper());
+        ++issued;
+      } else {
+        ++refused;
+      }
+      loop.schedule_after(ms(50), tick);
+    };
+    tick();
+    loop.run_until(seconds(6.0));
 
-  const auto& stats = gbooster.stats();
-  EXPECT_GT(stats.frames_shed_void, 0u);
-  EXPECT_GT(stats.frames_displayed, 0u);  // pre-crash frames
-  EXPECT_EQ(stats.frames_rendered_locally, 0u);
-  // The void-shed gate keeps admitting: the app never piles up against a
-  // full window of undeliverable frames.
-  EXPECT_EQ(refused, 0);
-  EXPECT_GT(issued, 40);
+    const auto& stats = gbooster.stats();
+    EXPECT_GT(stats.frames_shed_void, 0u);
+    EXPECT_GT(stats.frames_displayed, 0u);  // pre-crash frames
+    EXPECT_EQ(stats.frames_rendered_locally, 0u);
+    // The void-shed gate keeps admitting: the app never piles up against a
+    // full window of undeliverable frames.
+    EXPECT_EQ(refused, 0);
+    EXPECT_GT(issued, 40);
+  }
 }
 
 // --- determinism & equivalence contracts --------------------------------------
@@ -557,9 +560,10 @@ void expect_identical_results(const sim::SessionResult& a,
   EXPECT_EQ(a.requests_shed_admission, b.requests_shed_admission);
 }
 
-// A qos config that is populated but disabled must reproduce the legacy
-// pipeline byte-for-byte: the governed dispatch queue, deferred encode, and
-// shed machinery only exist when enabled.
+// A qos config that is populated but disabled is the null policy: every
+// session runs the one deferred-encode dispatch queue, and with the governor
+// off its knobs must not reach it — the same outcome as the default config,
+// no sheds and no quality overrides.
 TEST(OverloadDeterminism, DisabledGovernorReproducesLegacyPipeline) {
   const sim::SessionResult legacy = run_session(overload_session_config());
   auto configured = overload_session_config();
