@@ -29,6 +29,16 @@ class GlesApi {
   virtual ret name params = 0;
   GB_GLES_CALLS(GB_GLES_PURE)
 #undef GB_GLES_PURE
+
+  // Not an entry point: glVertexAttribPointer into staged client data of
+  // known length (the wire decoder's kVertexAttribPointerClient blobs).
+  // Vertex fetches read no further than data.size(); the default hands on
+  // the bare pointer, as an application would.
+  virtual void vertex_attrib_pointer_staged(
+      GLuint index, GLint size, GLenum type, GLboolean normalized,
+      GLsizei stride, std::span<const std::uint8_t> data) {
+    glVertexAttribPointer(index, size, type, normalized, stride, data.data());
+  }
 };
 
 // One id per entry point, in symbol-table order.

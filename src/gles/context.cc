@@ -902,7 +902,8 @@ void GlContext::vertex_attrib4f(GLuint index, GLfloat x, GLfloat y, GLfloat z,
 
 void GlContext::vertex_attrib_pointer(GLuint index, GLint size, GLenum type,
                                       bool normalized, GLsizei stride,
-                                      const void* pointer) {
+                                      const void* pointer,
+                                      std::size_t client_bytes) {
   if (index >= kMaxVertexAttribs) {
     set_error(GL_INVALID_VALUE);
     return;
@@ -920,9 +921,11 @@ void GlContext::vertex_attrib_pointer(GLuint index, GLint size, GLenum type,
   if (array_buffer_binding_ != 0) {
     attrib.offset = reinterpret_cast<std::size_t>(pointer);
     attrib.client_pointer = nullptr;
+    attrib.client_bytes = SIZE_MAX;
   } else {
     attrib.offset = 0;
     attrib.client_pointer = pointer;
+    attrib.client_bytes = client_bytes;
   }
 }
 

@@ -60,10 +60,13 @@ struct VertexAttribState {
   GLsizei stride = 0;
   // When buffer != 0 the attribute sources from that buffer at `offset`;
   // otherwise it reads client memory at `client_pointer` (valid only during
-  // the draw call, as in real GLES).
+  // the draw call, as in real GLES). An application's pointer is trusted,
+  // as a driver trusts it; data staged from the wire carries its length in
+  // `client_bytes`, and reads past it yield the generic value.
   GLuint buffer = 0;
   std::size_t offset = 0;
   const void* client_pointer = nullptr;
+  std::size_t client_bytes = SIZE_MAX;
   // Generic attribute value used when the array is disabled
   // (glVertexAttrib4f).
   Vec4 generic_value{0, 0, 0, 1};
@@ -197,9 +200,12 @@ class GlContext {
   void disable_vertex_attrib_array(GLuint index);
   void vertex_attrib4f(GLuint index, GLfloat x, GLfloat y, GLfloat z,
                        GLfloat w);
+  // `client_bytes` bounds reads through a client pointer (see
+  // VertexAttribState); it is ignored while an array buffer is bound.
   void vertex_attrib_pointer(GLuint index, GLint size, GLenum type,
                              bool normalized, GLsizei stride,
-                             const void* pointer);
+                             const void* pointer,
+                             std::size_t client_bytes = SIZE_MAX);
   void draw_arrays(GLenum mode, GLint first, GLsizei count);
   void draw_elements(GLenum mode, GLsizei count, GLenum type,
                      const void* indices);

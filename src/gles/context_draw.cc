@@ -481,14 +481,14 @@ Vec4 GlContext::fetch_attribute(const VertexAttribState& state,
     available = it->second.data.size() - state.offset;
   } else if (state.client_pointer != nullptr) {
     base = static_cast<const std::uint8_t*>(state.client_pointer);
-    available = static_cast<std::size_t>(-1);  // trusted, like real GLES
+    available = state.client_bytes;
   } else {
     return state.generic_value;
   }
   const std::size_t byte_offset =
       vertex_index * static_cast<std::size_t>(stride);
   if (byte_offset + static_cast<std::size_t>(elem) * state.size > available) {
-    return state.generic_value;  // out-of-range buffer reads yield defaults
+    return state.generic_value;  // out-of-range reads yield defaults
   }
   Vec4 out{0, 0, 0, 1};
   const std::uint8_t* src = base + byte_offset;

@@ -32,6 +32,12 @@ class DirectBackend final : public GlesApi {
   GB_GLES_CALLS(GB_DIRECT_FORWARD)
 #undef GB_DIRECT_FORWARD
   bool eglSwapBuffers() override;
+  void vertex_attrib_pointer_staged(
+      GLuint index, GLint size, GLenum type, GLboolean normalized,
+      GLsizei stride, std::span<const std::uint8_t> data) override {
+    context_->vertex_attrib_pointer(index, size, type, normalized, stride,
+                                    data.data(), data.size());
+  }
 
  private:
   std::unique_ptr<GlContext> context_;

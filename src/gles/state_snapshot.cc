@@ -448,6 +448,7 @@ void install_gl_state(const GlStateSnapshot& snap, GlContext& ctx) {
     out.buffer = a.buffer;
     out.offset = static_cast<std::size_t>(a.offset);
     out.client_pointer = nullptr;
+    out.client_bytes = SIZE_MAX;
     out.generic_value = {a.generic_value[0], a.generic_value[1],
                          a.generic_value[2], a.generic_value[3]};
   }

@@ -210,8 +210,8 @@ void replay_frame(const FrameCommands& frame, gles::GlesApi& target) {
     const auto [index, size, type, normalized, stride, data] =
         read_args<CmdOp::kVertexAttribPointerClient>(r);
     staged.emplace_back(data.begin(), data.end());
-    target.glVertexAttribPointer(narrow<GLuint>(index), size, type, normalized,
-                                 stride, staged.back().data());
+    target.vertex_attrib_pointer_staged(narrow<GLuint>(index), size, type,
+                                        normalized, stride, staged.back());
   }
 }
 

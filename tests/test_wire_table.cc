@@ -480,6 +480,38 @@ TEST(WireHardening, DrawFarFromIndexZeroDoesNotSizeTheVertexCacheByIndex) {
   EXPECT_EQ(replica.glGetError(), GL_NO_ERROR);
 }
 
+TEST(WireHardening, ShortClientAttribBlobBoundsTheDraw) {
+  // A 12-byte client-memory attribute (one vec3) feeding a 300-vertex draw:
+  // vertices past the staged blob read the generic value, not the heap
+  // beyond it.
+  DirectBackend replica(8, 8, {});
+  link_program_state(replica);
+  FrameCommands frame;
+  frame.records.push_back(crafted(CmdOp::kBindBuffer, [](ByteWriter& w) {
+    w.u32(GL_ARRAY_BUFFER);
+    w.varint(0);
+  }));
+  for (const std::uint64_t index : {0, 1}) {
+    frame.records.push_back(
+        crafted(CmdOp::kVertexAttribPointerClient, [index](ByteWriter& w) {
+          w.varint(index);
+          w.i32(3);
+          w.u32(GL_FLOAT);
+          w.u8(0);
+          w.i32(0);
+          w.blob(std::vector<std::uint8_t>(12, 0x3f));
+        }));
+  }
+  frame.records.push_back(crafted(CmdOp::kDrawArrays, [](ByteWriter& w) {
+    w.u32(GL_TRIANGLES);
+    w.i32(0);
+    w.i32(300);
+  }));
+  replay_frame(frame, replica);
+  EXPECT_EQ(replica.glGetError(), GL_NO_ERROR);
+  EXPECT_EQ(replica.context().attrib_state(0).client_bytes, 12u);
+}
+
 // --- table-driven structural fuzz ------------------------------------------------
 
 // Byte span of one serialized value, found by walking the record with its
