@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Repo check driver: the tier-1 build + full test suite, then the failure-
-# handling test labels (faults, observability, snapshot, overload, raster,
-# transport, dedup, fleet, soak, wire) rebuilt and rerun under AddressSanitizer
-# and ThreadSanitizer (CMakeLists.txt GB_SANITIZE), and the
-# rasterizer/codec identity suites rerun with GB_SIMD=OFF to prove the
-# vectorized hot paths are bit-exact against the scalar build.
+# Repo check driver: the tier-1 build + full test suite, then the frame-
+# dispatch and failure-handling test labels (core, faults, observability,
+# snapshot, overload, raster, transport, dedup, fleet, soak, wire) rebuilt
+# and rerun under AddressSanitizer and ThreadSanitizer (CMakeLists.txt
+# GB_SANITIZE), and the rasterizer/codec identity suites rerun with
+# GB_SIMD=OFF to prove the vectorized hot paths are bit-exact against the
+# scalar build.
 #
 #   scripts/check.sh                   # tier-1 + asan + tsan + nosimd
 #   scripts/check.sh tier1             # just the tier-1 build + full ctest
@@ -21,10 +22,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
-# The recovery/observability/overload suites, which is where sanitizer
-# findings have historically lived (races in the frame pipeline, lifetime
-# bugs in the failure and shedding paths), the tile-binned raster
-# scheduler (concurrent tile rasterization + fused tile encode), the
+# The frame-dispatch suites (runtime, session and presenter tests plus the
+# dispatch golden pins, which drive the one deferred-encode path every
+# session takes), the recovery/observability/overload suites, which is
+# where sanitizer findings have historically lived (races in the frame
+# pipeline, lifetime bugs in the failure and shedding paths), the
+# tile-binned raster scheduler (concurrent tile rasterization + fused tile
+# encode), the
 # FEC/multipath transport (adversarial parity parsing, crafted-datagram
 # reassembly), the shared record store (one mutex-guarded store touched
 # by concurrent sessions, lease-pinned pointer stability), and the fleet
@@ -34,8 +38,8 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 # wire replay hardening (crafted records plus the call-table-driven
 # structural fuzz of every opcode, where an over-read or an allocation sized
 # by an unchecked count shows up first under ASan). -L takes a regex; one
-# call covers all ten labels.
-SAN_LABELS='faults|observability|snapshot|overload|raster|transport|dedup|fleet|soak|wire'
+# call covers all eleven labels.
+SAN_LABELS='core|faults|observability|snapshot|overload|raster|transport|dedup|fleet|soak|wire'
 # Suites whose outputs must not change when GB_SIMD is toggled: the
 # rasterizer identity tests and the codec/LZ4 bitstream tests.
 NOSIMD_LABELS='raster|codec'
