@@ -28,7 +28,7 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 # where sanitizer findings have historically lived (races in the frame
 # pipeline, lifetime bugs in the failure and shedding paths), the
 # tile-binned raster scheduler (concurrent tile rasterization + fused tile
-# encode), the
+# encode, the lane-batched shader VM and the draw-path tests), the
 # FEC/multipath transport (adversarial parity parsing, crafted-datagram
 # reassembly), the shared record store (one mutex-guarded store touched
 # by concurrent sessions, lease-pinned pointer stability), and the fleet
@@ -41,8 +41,10 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 # call covers all eleven labels.
 SAN_LABELS='core|faults|observability|snapshot|overload|raster|transport|dedup|fleet|soak|wire'
 # Suites whose outputs must not change when GB_SIMD is toggled: the
-# rasterizer identity tests and the codec/LZ4 bitstream tests.
-NOSIMD_LABELS='raster|codec'
+# rasterizer identity tests (the shader VM and draw tests among them), the
+# codec/LZ4 bitstream tests, and the wire golden, whose replayed-pixel hash
+# is pinned.
+NOSIMD_LABELS='raster|codec|wire'
 
 run_tier1() {
   echo "==> tier-1: default build + full ctest"

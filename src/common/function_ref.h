@@ -1,0 +1,43 @@
+// A non-owning reference to a callable, for callbacks that are only invoked
+// while the callee holds them: no allocation, one indirect call. The
+// referenced callable must outlive every call made through the reference.
+#pragma once
+
+#include <memory>
+#include <type_traits>
+#include <utility>
+
+namespace gb {
+
+template <typename Signature>
+class FunctionRef;
+
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  FunctionRef() = default;
+
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+                std::is_invocable_r_v<R, F&, Args...>>>
+  FunctionRef(F&& f) noexcept  // NOLINT(google-explicit-constructor)
+      : object_(const_cast<void*>(
+            static_cast<const void*>(std::addressof(f)))),
+        call_([](void* object, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(object))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(object_, std::forward<Args>(args)...);
+  }
+
+  explicit operator bool() const noexcept { return call_ != nullptr; }
+
+ private:
+  void* object_ = nullptr;
+  R (*call_)(void*, Args...) = nullptr;
+};
+
+}  // namespace gb

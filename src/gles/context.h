@@ -8,12 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/geometry.h"
 #include "common/image.h"
 #include "gles/framebuffer.h"
@@ -32,7 +32,7 @@ struct GlStateSnapshot;
 GlStateSnapshot capture_gl_state(const GlContext& ctx);
 void install_gl_state(const GlStateSnapshot& snapshot, GlContext& ctx);
 
-// Deferred tile-binning state (definition lives in context_draw.cc).
+// Per-frame draw state (gles/tile_binning.h).
 struct TileBinning;
 
 // Fragment-stage scheduling strategy.
@@ -235,8 +235,8 @@ class GlContext {
   // are simply already final), possibly concurrently from pool workers for
   // distinct tiles. The Image reference is the live color buffer; the sink
   // must only read the given tile's rectangle.
-  using TileSink = std::function<void(const Image& color, int tile_index)>;
-  void flush_tiles(const TileSink& sink);
+  using TileSink = FunctionRef<void(const Image& color, int tile_index)>;
+  void flush_tiles(TileSink sink);
 
   // --- introspection for the offload layer -----------------------------------
   // Flushes pending tile-binned draws so counters reflect submitted work.
@@ -272,18 +272,20 @@ class GlContext {
 
   // Fetches attribute `state` for vertex `vertex_index` as a float Vec4.
   Vec4 fetch_attribute(const VertexAttribState& state, std::size_t vertex_index);
-  // Resolves the index array for glDrawElements.
-  std::vector<std::uint32_t> gather_indices(GLsizei count, GLenum type,
-                                            const void* indices);
+  // Resolves the index array for glDrawElements into `out`; false means
+  // "draw nothing" (with the GL error set where GLES defines one).
+  bool gather_indices(GLsizei count, GLenum type, const void* indices,
+                      std::vector<std::uint32_t>& out);
   // Draw-call validation shared by both draw paths, run before any
   // per-vertex work: a linked program is current and `mode` is one the
   // rasterizer handles. False (with the GL error set) means "draw nothing".
   bool draw_ready(GLenum mode, std::size_t count);
   // Rasterizes a validated draw.
-  void draw_internal(GLenum mode, std::span<const std::uint32_t> indices,
-                     bool sequential, GLint first);
+  void draw_internal(GLenum mode, std::span<const std::uint32_t> indices);
   // Shared implementation of flush()/flush_tiles() (context_draw.cc).
-  void flush_impl(const TileSink* sink);
+  void flush_impl(TileSink sink);
+  // The frame's draw state and the vertex stage's scratch, made on first use.
+  TileBinning& frame_state();
 
   Framebuffer framebuffer_;
   GLenum error_ = GL_NO_ERROR;
@@ -322,10 +324,6 @@ class GlContext {
   VertexAttribState attribs_[kMaxVertexAttribs];
   RenderStats stats_;
 
-  // Scratch register files reused across draws.
-  std::vector<Vec4> vs_registers_;
-  std::vector<Vec4> fs_registers_;
-
   // Fragment parallelism (null pools = serial rasterization).
   [[nodiscard]] runtime::ThreadPool* raster_pool() const noexcept {
     return shared_pool_ != nullptr ? shared_pool_ : owned_pool_.get();
@@ -333,7 +331,8 @@ class GlContext {
   std::unique_ptr<runtime::ThreadPool> owned_pool_;
   runtime::ThreadPool* shared_pool_ = nullptr;
 
-  // Deferred TBDR state; allocated on the first binned draw.
+  // Per-frame draw state (deferred TBDR draws, the vertex arena) and the
+  // vertex stage's scratch; allocated on the first draw.
   RasterMode raster_mode_ = RasterMode::kTileBinned;
   std::unique_ptr<TileBinning> binning_;
   runtime::MetricsRegistry* metrics_ = nullptr;

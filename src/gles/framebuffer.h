@@ -3,11 +3,22 @@
 // clip-space Y is flipped at viewport transform time.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/image.h"
 
 namespace gb::gles {
+
+// The byte std::lround(std::clamp(v, 0.0f, 1.0f) * 255.0f) stores, without
+// the libm call. The scaled value is below 2^8, so adding 0.5 in double is
+// exact and truncation rounds half away from zero as lround does. NaN passes
+// through std::clamp, and lround(NaN) is LONG_MIN, whose low byte is 0.
+inline std::uint8_t unorm_to_byte(float v) {
+  if (!(v > 0.0f)) return 0;
+  if (v >= 1.0f) return 255;
+  return static_cast<std::uint8_t>(static_cast<double>(v * 255.0f) + 0.5);
+}
 
 class Framebuffer {
  public:

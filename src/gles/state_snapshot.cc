@@ -26,6 +26,9 @@ Image read_image(ByteReader& r) {
   check(width >= 0 && width <= kMaxSurfaceDim && height >= 0 &&
             height <= kMaxSurfaceDim,
         "snapshot image dimensions out of range");
+  // The pixels must be in the message before the image is allocated.
+  const std::size_t bytes = static_cast<std::size_t>(width) * height * 4;
+  check(r.remaining() >= bytes, "snapshot image truncated");
   Image image(width, height);
   const auto src = r.raw(image.byte_size());
   std::copy(src.begin(), src.end(), image.data());
@@ -241,6 +244,8 @@ GlStateSnapshot GlStateSnapshot::deserialize(
   check(snap.framebuffer_color.width() == snap.surface_width &&
             snap.framebuffer_color.height() == snap.surface_height,
         "snapshot framebuffer size mismatch");
+  check(r.remaining() / sizeof(float) >= snap.framebuffer_color.pixel_count(),
+        "snapshot depth plane truncated");
   snap.framebuffer_depth.resize(snap.framebuffer_color.pixel_count());
   for (float& d : snap.framebuffer_depth) d = r.f32();
   check(r.done(), "trailing bytes after snapshot");

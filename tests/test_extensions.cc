@@ -16,6 +16,7 @@
 #include "sim/multiuser.h"
 #include "sim/session.h"
 #include "wire/decoder.h"
+#include "test_support.h"
 
 namespace gb {
 namespace {
@@ -207,8 +208,11 @@ TEST(Determinism, DifferentSeedsDiverge) {
 }
 
 // --- fuzzing --------------------------------------------------------------------------
+// Each case runs under an address-space cap, so a decoder that sizes an
+// allocation from garbage fails the case instead of committing gigabytes.
 
 TEST(Fuzz, ReplayRecordNeverCrashesOnGarbage) {
+  const test_support::AddressSpaceCap cap;
   Rng rng(99);
   gles::DirectBackend backend(8, 8, {});
   for (int i = 0; i < 500; ++i) {
@@ -227,6 +231,7 @@ TEST(Fuzz, ReplayRecordNeverCrashesOnGarbage) {
 }
 
 TEST(Fuzz, ProtocolParsersRejectGarbageGracefully) {
+  const test_support::AddressSpaceCap cap;
   Rng rng(123);
   compress::CommandCache cache;
   for (int i = 0; i < 500; ++i) {
@@ -251,6 +256,7 @@ TEST(Fuzz, ProtocolParsersRejectGarbageGracefully) {
 }
 
 TEST(Fuzz, ShaderCompilerSurvivesTokenSoup) {
+  const test_support::AddressSpaceCap cap;
   Rng rng(77);
   const char* fragments[] = {"void",  "main",     "(",        ")",
                              "{",     "}",        "vec4",     "gl_FragColor",
@@ -271,6 +277,7 @@ TEST(Fuzz, ShaderCompilerSurvivesTokenSoup) {
 }
 
 TEST(Fuzz, TurboDecoderSurvivesBitflips) {
+  const test_support::AddressSpaceCap cap;
   codec::TurboEncoder encoder;
   Image img(32, 32);
   img.fill(120, 90, 60);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -98,6 +99,12 @@ struct Lz4Case {
   int alphabet;
   std::uint64_t seed;
 };
+
+// gtest's default printer dumps the struct's raw bytes, padding included,
+// which makes the listed test names differ from one listing to the next.
+void PrintTo(const Lz4Case& c, std::ostream* os) {
+  *os << "n" << c.size << "_a" << c.alphabet << "_s" << c.seed;
+}
 
 class Lz4RoundTrip : public ::testing::TestWithParam<Lz4Case> {};
 

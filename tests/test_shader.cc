@@ -2,28 +2,37 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "gles/objects.h"
 #include "gles/shader.h"
 #include "gles/shader_vm.h"
 
 namespace gb::gles {
 namespace {
 
-// Compiles a fragment shader, runs it with no inputs, and returns
-// gl_FragColor. Fails the test on compile errors.
-Vec4 run_fragment(const std::string& body_or_source,
-                  const TextureSampleFn& sampler = {}) {
+// The shader's constants as a one-lane register image.
+std::vector<Vec4> preload_of(const CompiledShader& shader) {
+  std::vector<Vec4> preload(shader.register_file_size);
+  load_constants(shader, preload);
+  return preload;
+}
+
+// Compiles a fragment shader, runs it on one lane with no inputs, and
+// returns gl_FragColor. Fails the test on compile errors.
+Vec4 run_fragment(const std::string& body_or_source) {
   std::string error;
   auto compiled = compile_shader(ShaderKind::kFragment, body_or_source, error);
   EXPECT_TRUE(compiled.has_value()) << error;
   if (!compiled) return {};
-  std::vector<Vec4> regs(compiled->register_file_size);
-  load_constants(*compiled, regs);
-  run_shader(*compiled, regs, sampler);
-  return regs[compiled->fragcolor_register];
+  const std::vector<Vec4> preload = preload_of(*compiled);
+  LaneRegisters regs;
+  regs.bind(*compiled, preload);
+  run_lanes(*compiled, regs, 1, SamplerTable{});
+  return regs.at(compiled->fragcolor_register, 0);
 }
 
 TEST(ShaderCompiler, MinimalFragmentShader) {
@@ -137,17 +146,19 @@ TEST(ShaderCompiler, VertexShaderMatrixTransform) {
   ASSERT_EQ(compiled->attributes.size(), 1u);
   ASSERT_EQ(compiled->uniforms.size(), 1u);
 
-  std::vector<Vec4> regs(compiled->register_file_size);
-  load_constants(*compiled, regs);
+  std::vector<Vec4> preload = preload_of(*compiled);
   // u_mvp = translation by (5, 6, 7).
   const std::uint16_t m = compiled->uniforms[0].base_register;
-  regs[m + 0] = {1, 0, 0, 0};
-  regs[m + 1] = {0, 1, 0, 0};
-  regs[m + 2] = {0, 0, 1, 0};
-  regs[m + 3] = {5, 6, 7, 1};
-  regs[compiled->attributes[0].base_register] = {1, 2, 3, 1};
-  run_shader(*compiled, regs, {});
-  const Vec4 pos = regs[compiled->position_register];
+  preload[m + 0] = {1, 0, 0, 0};
+  preload[m + 1] = {0, 1, 0, 0};
+  preload[m + 2] = {0, 0, 1, 0};
+  preload[m + 3] = {5, 6, 7, 1};
+  LaneRegisters regs;
+  regs.bind(*compiled, preload);
+  regs.prepare(1);
+  regs.at(compiled->attributes[0].base_register, 0) = {1, 2, 3, 1};
+  run_lanes(*compiled, regs, 1, SamplerTable{});
+  const Vec4 pos = regs.at(compiled->position_register, 0);
   EXPECT_FLOAT_EQ(pos.x, 6.0f);
   EXPECT_FLOAT_EQ(pos.y, 8.0f);
   EXPECT_FLOAT_EQ(pos.z, 10.0f);
@@ -168,6 +179,8 @@ TEST(ShaderCompiler, VaryingsAreRecorded) {
 }
 
 TEST(ShaderCompiler, Texture2DSamplesThroughCallback) {
+  // texture2D reads the texture its sampler slot resolves to in the table
+  // the draw passes; an unresolved slot reads {0, 0, 0, 1}.
   std::string error;
   auto fs = compile_shader(ShaderKind::kFragment, R"(
       precision mediump float;
@@ -176,18 +189,62 @@ TEST(ShaderCompiler, Texture2DSamplesThroughCallback) {
   )", error);
   ASSERT_TRUE(fs.has_value()) << error;
   EXPECT_EQ(fs->sampler_slot_count, 1);
-  std::vector<Vec4> regs(fs->register_file_size);
-  load_constants(*fs, regs);
-  float seen_u = -1, seen_v = -1;
-  run_shader(*fs, regs, [&](int slot, float u, float v) -> Vec4 {
-    EXPECT_EQ(slot, 0);
-    seen_u = u;
-    seen_v = v;
-    return {0.9f, 0.8f, 0.7f, 1.0f};
-  });
-  EXPECT_FLOAT_EQ(seen_u, 0.5f);
-  EXPECT_FLOAT_EQ(seen_v, 0.25f);
-  EXPECT_FLOAT_EQ(regs[fs->fragcolor_register].x, 0.9f);
+  // A 2x4 nearest texture: (u, v) = (0.5, 0.25) lands on texel (1, 1).
+  TextureObject tex;
+  tex.image = Image(2, 4);
+  tex.image.fill(0, 0, 0, 255);
+  std::uint8_t* texel = tex.image.pixel(1, 1);
+  texel[0] = 230;
+  texel[1] = 204;
+  tex.mag_filter = GL_NEAREST;
+  const std::vector<Vec4> preload = preload_of(*fs);
+  LaneRegisters regs;
+  regs.bind(*fs, preload);
+  SamplerTable textures{};
+  run_lanes(*fs, regs, 1, textures);
+  EXPECT_FLOAT_EQ(regs.at(fs->fragcolor_register, 0).x, 0.0f);
+  EXPECT_FLOAT_EQ(regs.at(fs->fragcolor_register, 0).w, 1.0f);
+  textures[0] = &tex;
+  run_lanes(*fs, regs, 1, textures);
+  EXPECT_FLOAT_EQ(regs.at(fs->fragcolor_register, 0).x, 230.0f / 255.0f);
+  EXPECT_FLOAT_EQ(regs.at(fs->fragcolor_register, 0).y, 204.0f / 255.0f);
+}
+
+TEST(ShaderVm, LanesMatchOneLaneRuns) {
+  // A batch evaluates each lane exactly as a one-lane run of the same
+  // inputs, whatever the other lanes hold.
+  std::string error;
+  auto fs = compile_shader(ShaderKind::kFragment, R"(
+      precision mediump float;
+      varying vec2 v_uv;
+      void main() {
+        vec2 s = vec2(sin(v_uv.x * 7.0), cos(v_uv.y * 3.0));
+        gl_FragColor = vec4(normalize(vec3(s, fract(v_uv.x * 9.0))), length(s));
+      }
+  )", error);
+  ASSERT_TRUE(fs.has_value()) << error;
+  ASSERT_EQ(fs->varyings.size(), 1u);
+  const std::uint16_t uv = fs->varyings[0].base_register;
+  const std::vector<Vec4> preload = preload_of(*fs);
+  LaneRegisters batch;
+  batch.bind(*fs, preload);
+  const int n = batch.lanes();
+  ASSERT_EQ(n, LaneRegisters::kMaxLanes);
+  batch.prepare(n);
+  for (int l = 0; l < n; ++l) {
+    batch.at(uv, l) = {0.37f * static_cast<float>(l), 1.0f / (l + 1.0f), 0, 0};
+  }
+  run_lanes(*fs, batch, n, SamplerTable{});
+  for (int l = 0; l < n; ++l) {
+    LaneRegisters one;
+    one.bind(*fs, preload);
+    one.prepare(1);
+    one.at(uv, 0) = {0.37f * static_cast<float>(l), 1.0f / (l + 1.0f), 0, 0};
+    run_lanes(*fs, one, 1, SamplerTable{});
+    const Vec4 a = batch.at(fs->fragcolor_register, l);
+    const Vec4 b = one.at(fs->fragcolor_register, 0);
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof(Vec4)), 0) << "lane " << l;
+  }
 }
 
 TEST(ShaderCompiler, CommentsAreIgnored) {

@@ -28,6 +28,7 @@
 #include "runtime/event_loop.h"
 #include "sim/session.h"
 #include "wire/recorder.h"
+#include "test_support.h"
 
 namespace gb {
 namespace {
@@ -127,6 +128,29 @@ TEST(GlStateSnapshot, SerializedInstallRendersBitIdentically) {
   // The draw actually produced the quad colour (guards against an
   // all-background false positive): u_color green is 0.7, clear green 0.125.
   EXPECT_GT(a.pixel(8, 8)[1], 150);
+}
+
+TEST(GlStateSnapshot, TruncatedSnapshotsFailWithError) {
+  // Under an address-space cap, a snapshot cut anywhere fails with
+  // gb::Error, and an image header that claims a 16384x16384 framebuffer
+  // with no pixels behind it is rejected before 1 GiB is allocated for it.
+  gles::GlContext gl(16, 16);
+  set_up_scene(gl);
+  draw_scene(gl);
+  const Bytes wire = gles::capture_gl_state(gl).serialize();
+  const test_support::AddressSpaceCap cap;
+  for (std::size_t n = 0; n < wire.size(); ++n) {
+    const Bytes prefix(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_THROW(gles::GlStateSnapshot::deserialize(prefix), Error) << n;
+  }
+  // The framebuffer image is last: width, height, RGBA8 pixels, f32 depth.
+  const std::size_t plane = 16 * 16 * 4;
+  Bytes oversized(wire.begin(), wire.end() - static_cast<std::ptrdiff_t>(2 * plane));
+  const std::size_t header = oversized.size() - 8;
+  const std::int32_t huge = 16384;
+  std::memcpy(oversized.data() + header, &huge, sizeof(huge));
+  std::memcpy(oversized.data() + header + 4, &huge, sizeof(huge));
+  EXPECT_THROW(gles::GlStateSnapshot::deserialize(oversized), Error);
 }
 
 TEST(GlStateSnapshot, RoundTripPreservesScalarStateAndNameCounters) {
