@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo check driver: the tier-1 build + full test suite, then the frame-
 # dispatch and failure-handling test labels (core, faults, observability,
-# snapshot, overload, raster, transport, dedup, fleet, soak, wire) rebuilt
+# snapshot, overload, raster, transport, dedup, fleet, soak, wire, codec) rebuilt
 # and rerun under AddressSanitizer and ThreadSanitizer (CMakeLists.txt
 # GB_SANITIZE), and the rasterizer/codec identity suites rerun with
 # GB_SIMD=OFF to prove the vectorized hot paths are bit-exact against the
@@ -37,9 +37,11 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 # reuse, invariant-audit probes over every long-lived table), and the
 # wire replay hardening (crafted records plus the call-table-driven
 # structural fuzz of every opcode, where an over-read or an allocation sized
-# by an unchecked count shows up first under ASan). -L takes a regex; one
-# call covers all eleven labels.
-SAN_LABELS='core|faults|observability|snapshot|overload|raster|transport|dedup|fleet|soak|wire'
+# by an unchecked count shows up first under ASan), and the codecs (the
+# word-wide bit reader's loads near the end of a payload, the Huffman
+# lookup table, and the tile-parallel decoder's reconstruct on a shared
+# pool). -L takes a regex; one call covers all twelve labels.
+SAN_LABELS='core|faults|observability|snapshot|overload|raster|transport|dedup|fleet|soak|wire|codec'
 # Suites whose outputs must not change when GB_SIMD is toggled: the
 # rasterizer identity tests (the shader VM and draw tests among them), the
 # codec/LZ4 bitstream tests, and the wire golden, whose replayed-pixel hash

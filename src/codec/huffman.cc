@@ -190,21 +190,43 @@ std::optional<HuffmanDecoder> HuffmanDecoder::from_table(ByteReader& in) {
                              next[static_cast<std::size_t>(len)]++;
     d.symbols_[at] = static_cast<std::uint8_t>(s);
   }
+  constexpr int kTail = kMaxLength - kLookupBits;
+  for (std::uint32_t prefix = 0; prefix < d.lookup_.size(); ++prefix) {
+    const std::uint32_t hit = d.search(prefix << kTail, 1);
+    if ((hit >> 8) <= kLookupBits) {
+      d.lookup_[prefix] = static_cast<std::uint16_t>(hit);
+    }
+  }
   return d;
 }
 
-std::uint8_t HuffmanDecoder::decode(BitReader& in) const {
-  std::uint32_t code = 0;
-  for (int len = 1; len <= kMaxLength; ++len) {
-    code = (code << 1) | (in.get_bit() ? 1u : 0u);
+std::uint32_t HuffmanDecoder::search(std::uint32_t bits16,
+                                     int from_len) const {
+  for (int len = from_len; len <= kMaxLength; ++len) {
+    const std::uint32_t code = bits16 >> (kMaxLength - len);
     const std::uint32_t n = count_[static_cast<std::size_t>(len)];
     const std::uint32_t first = first_code_[static_cast<std::size_t>(len)];
     if (n != 0 && code >= first && code < first + n) {
-      return symbols_[symbol_offset_[static_cast<std::size_t>(len)] +
+      return static_cast<std::uint32_t>(len) << 8 |
+             symbols_[symbol_offset_[static_cast<std::size_t>(len)] +
                       (code - first)];
     }
   }
-  throw Error("invalid Huffman code in bitstream");
+  return 0;
+}
+
+std::uint32_t HuffmanDecoder::match_long(std::uint32_t bits16) const {
+  const std::uint32_t hit = search(bits16, kLookupBits + 1);
+  check(hit != 0, "invalid Huffman code in bitstream");
+  return hit;
+}
+
+std::uint8_t HuffmanDecoder::decode(BitReader& in) const {
+  const std::uint32_t hit = match(in.peek(kMaxLength));
+  // Bits past the end of the payload peek as zero; skip() rejects a code
+  // that would need them, as the bit-serial reader's overrun did.
+  in.skip(static_cast<int>(hit >> 8));
+  return static_cast<std::uint8_t>(hit);
 }
 
 }  // namespace gb::codec

@@ -41,15 +41,40 @@ class HuffmanDecoder {
   // Rebuilds the canonical code from a serialized length table.
   static std::optional<HuffmanDecoder> from_table(ByteReader& in);
 
+  // Decodes one symbol. Throws gb::Error on a bit sequence that matches no
+  // code or on overrun.
   [[nodiscard]] std::uint8_t decode(BitReader& in) const;
+
+  // The code at the front of `bits16`, the next 16 bits of a stream: returns
+  // (code length << 8) | symbol, or throws gb::Error if no code matches.
+  // Codes of up to kLookupBits bits resolve with one table lookup; longer
+  // ones continue the canonical search from there. A caller that peeked
+  // past the end of its data must still check the length against it.
+  [[nodiscard]] std::uint32_t match(std::uint32_t bits16) const {
+    const std::uint32_t hit = lookup_[bits16 >> (16 - kLookupBits)];
+    return hit != 0 ? hit : match_long(bits16);
+  }
+
+  static constexpr int kLookupBits = 9;
 
  private:
   HuffmanDecoder() = default;
+  // Canonical search over code lengths [from_len, 16] for the code whose
+  // first 16 bits are `bits16`; returns (length << 8) | symbol, or 0 when no
+  // length matches.
+  [[nodiscard]] std::uint32_t search(std::uint32_t bits16, int from_len) const;
+  [[nodiscard]] std::uint32_t match_long(std::uint32_t bits16) const;
+
   // first_code[len], first_symbol_index[len] for canonical decoding.
   std::array<std::uint32_t, 17> first_code_{};
   std::array<std::uint32_t, 17> count_{};
   std::array<std::uint32_t, 17> symbol_offset_{};
   std::vector<std::uint8_t> symbols_;  // sorted by (length, symbol)
+  // Indexed by the next kLookupBits bits: (length << 8) | symbol for a code
+  // of at most kLookupBits bits, 0 when the code is longer (or invalid).
+  // Filled by running search() on each prefix, so it agrees with the
+  // canonical search for any length table, malformed ones included.
+  std::array<std::uint16_t, 1u << kLookupBits> lookup_{};
 };
 
 // Builds canonical code lengths (<=16) from frequencies; exposed for tests.

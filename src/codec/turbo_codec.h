@@ -4,8 +4,12 @@
 // a JPEG-style transform coder.
 //
 // Pipeline per frame:
-//   1. split into 16x16 tiles; diff against the *reconstructed* previous
-//      frame (in-loop reference, so encoder and decoder never drift);
+//   1. split into 16x16 tiles; diff against the previous *source* frame
+//      (not the decoder's reconstruction), skipping tiles whose largest
+//      per-channel change is at most skip_threshold. A change that stays
+//      under the threshold frame after frame is never coded, so the decoder
+//      can drift from the source without bound: a uniform frame fading by
+//      +1 per frame codes no tile in 60 frames and ends 59 levels off;
 //   2. changed tiles are converted RGB -> YCbCr 4:2:0 and coded as 8x8
 //      DCT blocks with quality-scaled quantization;
 //   3. (run,size) symbols are entropy-coded with a per-frame canonical
@@ -97,8 +101,9 @@ class TurboEncoder {
 
   // Mid-stream quality adjustment (QoS governor, DESIGN.md §11): applies
   // from the next encoded frame. No keyframe or decoder coordination is
-  // needed — every frame's header carries its own quality, and the in-loop
-  // reference tracks the *reconstructed* pixels on both sides.
+  // needed — every frame's header carries its own quality, and every coded
+  // tile is intra-coded, so no tile depends on pixels coded at another
+  // quality.
   void set_quality(int quality);
   void set_skip_threshold(int threshold);
   [[nodiscard]] const TurboConfig& config() const { return config_; }
@@ -115,7 +120,7 @@ class TurboEncoder {
   TurboConfig config_;
   std::shared_ptr<runtime::ThreadPool> owned_pool_;  // null when serial
   runtime::ThreadPool* shared_pool_ = nullptr;
-  Image reference_;  // in-loop reconstructed previous frame
+  Image reference_;  // previous source frame, the change detector baseline
   TurboFrameStats stats_;
 
   // In-flight frame state for the per-tile path (begin_frame .. finish_frame).

@@ -143,20 +143,8 @@ Bytes ReferenceVideoEncoder::encode(const Image& frame) {
         set_y_subblock(recon_residual.y, bx, by, recon);
       }
     }
-    {
-      Block8x8 in{};
-      std::copy(residual.cb.begin(), residual.cb.end(), in.begin());
-      Block8x8 recon{};
-      dc_cb = code_block(in, chroma_q, dc_cb, units, recon);
-      std::copy(recon.begin(), recon.end(), recon_residual.cb.begin());
-    }
-    {
-      Block8x8 in{};
-      std::copy(residual.cr.begin(), residual.cr.end(), in.begin());
-      Block8x8 recon{};
-      dc_cr = code_block(in, chroma_q, dc_cr, units, recon);
-      std::copy(recon.begin(), recon.end(), recon_residual.cr.begin());
-    }
+    dc_cb = code_block(residual.cb, chroma_q, dc_cb, units, recon_residual.cb);
+    dc_cr = code_block(residual.cr, chroma_q, dc_cr, units, recon_residual.cr);
     const Macroblock recon_mb =
         keyframe ? recon_residual : add(prediction, recon_residual);
     store_macroblock(next, tx, ty, recon_mb);
@@ -181,10 +169,7 @@ Bytes ReferenceVideoEncoder::encode(const Image& frame) {
   const HuffmanEncoder huff(freq);
   huff.write_table(out);
   BitWriter bits;
-  for (const CodedUnit& u : units) {
-    huff.encode(bits, u.symbol);
-    if (u.bit_count > 0) bits.put_bits(u.bits, u.bit_count);
-  }
+  write_units(bits, huff, units);
   out.blob(bits.finish());
   stats_.encoded_bytes = out.size();
   return out.take();
@@ -235,16 +220,8 @@ std::optional<Image> ReferenceVideoDecoder::decode(
           set_y_subblock(residual.y, bx, by, recon);
         }
       }
-      {
-        Block8x8 recon{};
-        dc_cb = decode_block(bits, *huff, chroma_q, dc_cb, recon);
-        std::copy(recon.begin(), recon.end(), residual.cb.begin());
-      }
-      {
-        Block8x8 recon{};
-        dc_cr = decode_block(bits, *huff, chroma_q, dc_cr, recon);
-        std::copy(recon.begin(), recon.end(), residual.cr.begin());
-      }
+      dc_cb = decode_block(bits, *huff, chroma_q, dc_cb, residual.cb);
+      dc_cr = decode_block(bits, *huff, chroma_q, dc_cr, residual.cr);
       Macroblock recon_mb = residual;
       if (!keyframe) {
         const CodedMacroblock& mv = mvs[static_cast<std::size_t>(t)];
