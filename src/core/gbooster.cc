@@ -305,9 +305,7 @@ bool GBoosterRuntime::on_frame(wire::FrameCommands frame) {
       // The replicas miss this frame's state records for real (the shadow
       // context still has them, so a revival snapshot recovers the stream).
       state_apply_floor_ = std::max(state_apply_floor_, sequence + 1);
-      if (config_.snapshot_recovery) {
-        needs_snapshot_.assign(needs_snapshot_.size(), true);
-      }
+      needs_snapshot_.assign(needs_snapshot_.size(), true);
     } else {
       apply_floors_[0] = std::max(apply_floors_[0], sequence + 1);
     }
@@ -403,13 +401,12 @@ void GBoosterRuntime::schedule_payload_send(std::uint64_t sequence,
             // Track acks only for devices that can answer: a dead member
             // would pin the message outstanding for its whole outage. The
             // excluded member misses the message for real, so flag it for
-            // a revival snapshot (the epoch-reset baseline already reset
-            // once at death; every message since carries the new epoch).
+            // a revival snapshot.
             std::vector<net::NodeId> members;
             for (std::size_t i = 0; i < device_nodes_.size(); ++i) {
               if (dispatcher_.healthy(i)) {
                 members.push_back(device_nodes_[i]);
-              } else if (config_.snapshot_recovery) {
+              } else {
                 needs_snapshot_[i] = true;
               }
             }
@@ -753,14 +750,6 @@ void GBoosterRuntime::note_device_alive(std::size_t index) {
       tracer_->instant("device_reintegrated", device_nodes_[index],
                        loop_.now());
     }
-    if (!config_.snapshot_recovery) {
-      // Epoch-reset baseline: the missed window is gone for good (death
-      // stopped its state traffic), so jump the replica's apply cursor past
-      // it — the legacy fast-forward reintegration. Its GL state stays
-      // stale; that deficiency is what the snapshot path exists to fix.
-      apply_floors_[index] =
-          std::max(apply_floors_[index], recorder_->next_sequence());
-    }
   }
   // A replica that missed state multicasts (abandoned toward it while it was
   // dead or partitioned) would rejoin with stale GL state: resync it before
@@ -806,8 +795,7 @@ void GBoosterRuntime::on_transport_abandon(net::NodeId stream,
       const auto idx = index_of(node);
       if (idx.has_value()) missed.push_back(*idx);
     }
-    if (config_.snapshot_recovery && !missed.empty() &&
-        missed.size() < device_nodes_.size()) {
+    if (!missed.empty() && missed.size() < device_nodes_.size()) {
       for (const std::size_t idx : missed) {
         // An outage window abandons one state message per frame; the first
         // resync covers all of them at once (its mirror and GL state were
@@ -824,22 +812,17 @@ void GBoosterRuntime::on_transport_abandon(net::NodeId stream,
       stats_.scoped_state_recoveries++;
       return;
     }
-    // Every replica missed it, the loss cannot be attributed, or snapshot
-    // recovery is disabled (the §8 baseline): restart the shared cache
-    // under a new epoch so every mirror resets in lockstep, and tell
-    // receivers not to wait on the lost sequence. Unattributable losses of
-    // already-completed frames have no sequence to floor — and a completed
-    // frame proves the renderer applied the message, so a total miss is
-    // impossible there.
-    if (!tracked && (config_.snapshot_recovery || missed.empty())) return;
+    // Every replica missed it, or the loss cannot be attributed: restart
+    // the shared cache under a new epoch so every mirror resets in
+    // lockstep, and tell receivers not to wait on the lost sequence.
+    // Unattributable losses of already-completed frames have no sequence to
+    // floor — and a completed frame proves the renderer applied the
+    // message, so a total miss is impossible there.
+    if (!tracked) return;
     state_epoch_++;
     state_cache_ = compress::CommandCache();
     stats_.state_epoch_resets++;
-    // The attributed-but-untracked case (snapshot recovery off) has no
-    // sequence; the epoch bump alone re-bases every replica's timeline.
-    if (tracked) {
-      state_apply_floor_ = std::max(state_apply_floor_, sequence + 1);
-    }
+    state_apply_floor_ = std::max(state_apply_floor_, sequence + 1);
     return;
   }
   // Re-entry from a cohort abandon below (or from handle_device_death's
@@ -940,16 +923,9 @@ void GBoosterRuntime::handle_device_death(std::size_t index) {
   // acks would spend the whole outage on retransmissions it cannot hear and
   // hold the group stream floor back for everyone. From here until revival
   // it misses the state stream for real — heal it on revival with a
-  // GL-state snapshot, or (snapshot recovery off) restart the shared cache
-  // once per death so the new epoch re-bases its decode timeline too.
+  // GL-state snapshot.
   endpoint_.forget_receiver(device_nodes_[index]);
-  if (config_.snapshot_recovery) {
-    needs_snapshot_[index] = true;
-  } else {
-    state_epoch_++;
-    state_cache_ = compress::CommandCache();
-    stats_.state_epoch_resets++;
-  }
+  needs_snapshot_[index] = true;
   // Requests already fully delivered (or whose send is still queued behind
   // the packing core) have no outstanding message: sweep the leftovers.
   std::vector<std::uint64_t> orphans;

@@ -300,8 +300,6 @@ struct ScenarioConfig {
   // Sample `renders_at_probe` for this device index at `probe_at_s`.
   double probe_at_s = -1.0;
   std::size_t probe_index = 0;
-  // Off = the legacy global-epoch-reset recovery baseline.
-  bool snapshot_recovery = true;
   // Breaker sensitivity; raise it to keep a partitioned device officially
   // healthy so losses are attributed by the transport, not the breaker.
   int failure_threshold = 3;
@@ -323,7 +321,6 @@ ScenarioResult run_scenario(const ScenarioConfig& sc) {
   config.health.probe_timeout = ms(100);
   config.health.failure_threshold = sc.failure_threshold;
   config.display_gap_timeout = seconds(2.0);
-  config.snapshot_recovery = sc.snapshot_recovery;
 
   std::vector<std::unique_ptr<core::ServiceRuntime>> services;
   std::vector<core::ServiceDeviceInfo> initial;
@@ -547,35 +544,6 @@ TEST(SnapshotResync, SingleStragglerAbandonIsScopedNotGlobal) {
   // deterministically in ServiceQuarantine below.)
   EXPECT_GE(run.services[1].snapshots_installed, 1u);
   EXPECT_GT(run.services[1].state_messages_applied, 0u);
-  EXPECT_EQ(run.user.frames_dropped, 0u);
-}
-
-// Same partition with `snapshot_recovery` off: every attributable abandon
-// falls back to a fleet-wide epoch reset — the baseline the EXPERIMENTS.md
-// recovery comparison measures against. The healthy renderer pays for the
-// straggler's loss with cache restarts, and nobody gets a resync.
-TEST(SnapshotResync, DisabledRecoveryFallsBackToGlobalEpochResets) {
-  ScenarioConfig sc;
-  sc.devices = {{100, "renderer", 6e9}, {101, "straggler", 1e6}};
-  sc.frame = [](gles::GlesApi& gl, int index) {
-    const float c = 0.1f + 0.01f * static_cast<float>(index % 64);
-    gl.glClearColor(c, c, c, 1.0f);
-    gl.glClear(gles::GL_COLOR_BUFFER_BIT);
-    gl.eglSwapBuffers();
-  };
-  sc.issue_until_s = 2.5;
-  sc.faults.partitions.push_back({1, 101, seconds(0.3), seconds(1.2)});
-  sc.failure_threshold = 1000;
-  sc.snapshot_recovery = false;
-
-  const ScenarioResult run = run_scenario(sc);
-
-  EXPECT_EQ(run.user.scoped_state_recoveries, 0u);
-  EXPECT_EQ(run.user.snapshots_sent, 0u);
-  EXPECT_GE(run.user.state_epoch_resets, 1u);
-  // The pipeline still makes progress — the baseline is degraded, not dead.
-  ASSERT_EQ(run.services.size(), 2u);
-  EXPECT_GT(run.services[0].requests_rendered, 0u);
   EXPECT_EQ(run.user.frames_dropped, 0u);
 }
 
