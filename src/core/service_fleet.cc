@@ -48,27 +48,34 @@ double ServiceFleet::placement_score(std::size_t index,
   return queue_s + depth_s + tenancy_s;
 }
 
-std::optional<std::size_t> ServiceFleet::place_session(
-    net::NodeId user, double workload_pixels) {
-  check(!sessions_.contains(user), "user already has a session placed");
-  std::size_t best = runtimes_.size();
+std::optional<std::size_t> ServiceFleet::coolest_with_headroom(
+    double workload_pixels, std::optional<std::size_t> exclude) {
+  std::optional<std::size_t> best;
   double best_score = 0.0;
   for (std::size_t j = 0; j < runtimes_.size(); ++j) {
-    if (session_count(j) >=
-        static_cast<std::size_t>(devices_[j].max_sessions)) {
+    if (j == exclude ||
+        session_count(j) >=
+            static_cast<std::size_t>(devices_[j].max_sessions)) {
       continue;
     }
     const double score = placement_score(j, workload_pixels);
-    if (best == runtimes_.size() || score < best_score) {
+    if (!best.has_value() || score < best_score) {
       best = j;
       best_score = score;
     }
   }
-  if (best == runtimes_.size()) {
+  return best;
+}
+
+std::optional<std::size_t> ServiceFleet::place_session(
+    net::NodeId user, double workload_pixels) {
+  check(!sessions_.contains(user), "user already has a session placed");
+  const std::optional<std::size_t> best = coolest_with_headroom(workload_pixels);
+  if (!best.has_value()) {
     stats_.placements_rejected++;
     return std::nullopt;
   }
-  sessions_[user] = best;
+  sessions_[user] = *best;
   stats_.sessions_placed++;
   return best;
 }

@@ -97,8 +97,14 @@ class ServiceFleet {
   [[nodiscard]] double placement_score(std::size_t index,
                                        double workload_pixels);
 
-  // Picks the argmin-score device with session headroom and registers the
-  // session there. nullopt (and placements_rejected) when every device is at
+  // The argmin-score device with session headroom, `exclude` (a
+  // migration's source) skipped before it is scored. nullopt when no
+  // candidate has room.
+  [[nodiscard]] std::optional<std::size_t> coolest_with_headroom(
+      double workload_pixels,
+      std::optional<std::size_t> exclude = std::nullopt);
+
+  // Picks coolest_with_headroom and registers the session there. nullopt (and placements_rejected) when every device is at
   // its cap — admission control at fleet granularity.
   std::optional<std::size_t> place_session(net::NodeId user,
                                            double workload_pixels);

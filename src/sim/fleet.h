@@ -36,15 +36,13 @@ struct FleetUserSpec {
   double depart_s = 0.0;
 };
 
+// Moves a user's session to the coolest other device (lowest placement
+// score with session headroom) at `at_s`: live, with a 0.5 s drain on the
+// source, or cold, dark for 0.25 s before it reconnects.
 struct FleetMigrationSpec {
   std::size_t user_index = 0;
   double at_s = 0.0;
-  // Target fleet device; -1 picks the coolest device (lowest placement
-  // score with session headroom) at migration time.
-  int to_device = -1;
-  bool cold = false;           // disconnect/reconnect baseline
-  double reconnect_delay_s = 0.25;  // cold: dark window before reconnect
-  double drain_s = 0.5;             // live: old-device drain window
+  bool cold = false;  // disconnect/reconnect baseline
 };
 
 struct FleetScenarioConfig {
@@ -56,7 +54,6 @@ struct FleetScenarioConfig {
   int render_width = 96;
   int render_height = 72;
   int content_sample_every = 8;
-  int max_pending = 2;
   // Per-user QoS governor (the null policy unless enabled). Fleet users run
   // without local fallback, so migration cost shows up as blackout and
   // frames shed while a slot is dark, instead of being papered over.

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "runtime/metrics_registry.h"
+#include "runtime/percentile.h"
 
 namespace gb::sim {
 
@@ -69,6 +70,17 @@ SessionMetrics MetricsCollector::finalize(SimTime session_duration) const {
       sorted_lat[static_cast<std::size_t>(
           static_cast<double>(sorted_lat.size() - 1) * 0.99)];
   return m;
+}
+
+LatencySummary MetricsCollector::latency_summary() const {
+  LatencySummary summary;
+  if (frames_ == 0) return summary;
+  summary.mean_ms = response_ms_sum_ / static_cast<double>(frames_);
+  std::vector<double> sorted = latencies_ms_;
+  std::sort(sorted.begin(), sorted.end());
+  summary.p95_ms = runtime::percentile_sorted(sorted, 0.95);
+  summary.p99_ms = runtime::percentile_sorted(sorted, 0.99);
+  return summary;
 }
 
 void fill_stage_breakdown(const runtime::Tracer& tracer,

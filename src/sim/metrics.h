@@ -64,11 +64,23 @@ struct SessionMetrics {
 void fill_stage_breakdown(const runtime::Tracer& tracer,
                           SessionMetrics& metrics);
 
+// Mean and tail issue-to-display latency, tails interpolated between
+// ranks (runtime::percentile_sorted) — the multi-user harnesses' rule.
+// SessionMetrics' p95/p99 take the floor rank instead.
+struct LatencySummary {
+  double mean_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
 class MetricsCollector {
  public:
   void on_frame_displayed(SimTime when, SimTime response_latency);
 
   [[nodiscard]] SessionMetrics finalize(SimTime session_duration) const;
+  // All zero before the first display.
+  [[nodiscard]] LatencySummary latency_summary() const;
+  [[nodiscard]] std::uint64_t frames_displayed() const { return frames_; }
 
  private:
   std::vector<int> per_second_;

@@ -1,54 +1,18 @@
 #include "sim/multiuser.h"
 
-#include <algorithm>
+#include <deque>
 #include <memory>
 #include <set>
 
-#include "apps/game_app.h"
-#include "apps/touch.h"
 #include "common/error.h"
-#include "core/gbooster.h"
-#include "core/service_runtime.h"
-#include "gles/direct_backend.h"
-#include "hooking/dynamic_linker.h"
-#include "net/medium.h"
-#include "net/radio.h"
-#include "net/reliable.h"
-#include "runtime/event_loop.h"
-#include "runtime/percentile.h"
+#include "sim/testbed.h"
 
 namespace gb::sim {
-namespace {
-
-// One user device's full stack: app, wrapper, runtime, pacing state.
-struct User {
-  std::unique_ptr<net::RadioInterface> radio;
-  std::unique_ptr<net::ReliableEndpoint> endpoint;
-  std::unique_ptr<core::GBoosterRuntime> gbooster;
-  std::unique_ptr<hooking::DynamicLinker> linker;
-  std::unique_ptr<gles::DirectBackend> genuine;
-  std::unique_ptr<gles::GlesApi> api;
-  std::unique_ptr<apps::GameApp> app;
-  std::unique_ptr<apps::TouchScript> touch;
-  MetricsCollector metrics;
-  std::vector<double> latencies_ms;
-  std::uint64_t displayed = 0;
-  double cpu_frame_s = 0.016;
-  SimTime next_allowed;
-  bool waiting = false;
-  std::uint64_t frames = 0;
-};
-
-}  // namespace
 
 MultiUserResult run_multiuser_session(const MultiUserConfig& config) {
   check(!config.users.empty(), "need at least one user");
   EventLoop loop;
   Rng rng(config.seed);
-
-  net::MediumConfig wifi_config;
-  wifi_config.loss_rate = 0.002;
-  net::Medium wifi(loop, wifi_config, rng.fork(), "wifi");
 
   // The shared service device.
   core::ServiceRuntimeConfig service_config;
@@ -56,141 +20,76 @@ MultiUserResult run_multiuser_session(const MultiUserConfig& config) {
   service_config.render_height = config.render_height;
   service_config.content_sample_every = config.content_sample_every;
   service_config.admission_queue_cap = config.admission_queue_cap;
-  std::shared_ptr<compress::SharedStoreRegistry> shared_store =
-      config.shared_store;
-  if (config.shared_dedup) {
-    if (shared_store == nullptr) {
-      shared_store = std::make_shared<compress::SharedStoreRegistry>();
-    }
-    service_config.shared_store = shared_store;
-  }
-  device::DeviceProfile service_profile = config.service_device;
-  service_profile.gpu.fillrate_pps *= service_profile.gpu_request_efficiency;
-  auto service = std::make_unique<core::ServiceRuntime>(
-      loop, /*node=*/100, service_profile, service_config);
-  service->endpoint().bind(wifi, nullptr);
+  const std::shared_ptr<compress::SharedStoreRegistry> shared_store =
+      dedup_registry(config.shared_dedup, config.shared_store);
+  service_config.shared_store = shared_store;
+  SharedWifiFleet devices(loop, rng.fork(), service_config, {config.service_device},
+                          /*first_node=*/100,
+                          static_cast<int>(config.users.size()));
+  core::ServiceRuntime& service = devices.fleet.runtime(0);
+  const core::ServiceDeviceInfo service_info = devices.fleet.device_info(0);
 
-  std::vector<std::unique_ptr<User>> users;
+  std::vector<std::unique_ptr<UserStack>> stacks;
   for (std::size_t u = 0; u < config.users.size(); ++u) {
     const MultiUserParticipant& participant = config.users[u];
-    auto user = std::make_unique<User>();
-    const net::NodeId node = static_cast<net::NodeId>(1 + u);
-    user->radio = std::make_unique<net::RadioInterface>(
-        loop, net::wifi_radio_config(), "user" + std::to_string(u) + "-wifi");
-    user->endpoint = std::make_unique<net::ReliableEndpoint>(loop, node);
-    user->endpoint->bind(wifi, user->radio.get());
-
-    core::GBoosterConfig gb_config;
-    gb_config.max_pending_requests = config.max_pending;
-    gb_config.request_priority = participant.priority;
-    gb_config.state_group = 0xff00 + static_cast<net::NodeId>(u);
-    gb_config.qos = config.qos;
+    UserStackSpec spec;
+    spec.node = static_cast<net::NodeId>(1 + u);
+    spec.name = "user" + std::to_string(u);
+    spec.wifi = &devices.wifi;
+    spec.gbooster.max_pending_requests = kMultiUserMaxPending;
+    spec.gbooster.request_priority = participant.priority;
+    spec.gbooster.state_group = 0xff00 + static_cast<net::NodeId>(u);
+    spec.gbooster.qos = config.qos;
     if (config.shared_dedup) {
-      gb_config.shared_dedup = true;
-      gb_config.app_id = participant.app_id;
-      gb_config.join_delay = seconds(participant.join_delay_s);
+      spec.gbooster.shared_dedup = true;
+      spec.gbooster.app_id = participant.app_id;
+      spec.gbooster.join_delay = seconds(participant.join_delay_s);
     }
-    user->gbooster = std::make_unique<core::GBoosterRuntime>(
-        loop, gb_config, *user->endpoint,
-        std::vector<core::ServiceDeviceInfo>{
-            {100, service_profile.name, service_profile.gpu.fillrate_pps}});
-    core::GBoosterRuntime* gbooster = user->gbooster.get();
-    user->endpoint->set_handler(
-        [gbooster](net::NodeId src, net::NodeId stream, Bytes message) {
-          gbooster->on_message(src, stream, std::move(message));
-        });
+    spec.devices = {service_info};
     const double workload = participant.workload.gpu_workload_pixels;
-    user->gbooster->set_workload_override([workload] { return workload; });
-
-    user->linker = std::make_unique<hooking::DynamicLinker>();
-    user->genuine =
-        std::make_unique<gles::DirectBackend>(64, 48, gles::PresentFn{});
-    user->linker->register_library(hooking::LibraryImage::exporting_all(
-        "libGLESv2.so", user->genuine.get()));
-    user->gbooster->install(*user->linker);
-    user->api = user->linker->link_gles("libGLESv2.so");
-
-    user->app = std::make_unique<apps::GameApp>(
-        participant.workload, *user->api, 600, 480, rng.fork());
-    user->app->setup();
-    apps::TouchScriptConfig touch_config;
-    touch_config.duration_s = config.duration_s;
-    touch_config.burst_rate_hz = participant.workload.burst_rate_hz;
-    touch_config.burst_duration_s = participant.workload.burst_duration_s;
-    user->touch =
-        std::make_unique<apps::TouchScript>(touch_config, rng.fork());
-    user->cpu_frame_s = participant.workload.cpu_frame_seconds /
-                        participant.phone.cpu_perf_index;
-    users.push_back(std::move(user));
+    spec.workload_pixels = [workload] { return workload; };
+    spec.app = participant.workload;
+    spec.touch = touch_script_config(participant.workload, config.duration_s);
+    stacks.push_back(std::make_unique<UserStack>(loop, spec, rng));
   }
 
-  // App pacing loops (same discipline as the single-user simulator).
-  std::vector<std::function<void()>> attempts(users.size());
-  for (std::size_t u = 0; u < users.size(); ++u) {
-    User* user = users[u].get();
-    const apps::WorkloadSpec& spec = config.users[u].workload;
-    const SimTime min_interval = seconds(1.0 / spec.target_fps);
-    attempts[u] = [&, user, u, min_interval] {
-      if (loop.now().seconds() >= config.duration_s) return;
-      if (!user->gbooster->can_issue_frame()) {
-        user->waiting = true;
-        return;
-      }
-      loop.schedule_after(seconds(user->cpu_frame_s), [&, user, u,
-                                                       min_interval] {
-        const double now_s = loop.now().seconds();
-        user->app->render_frame(now_s, user->touch->burst_active(now_s));
-        user->frames++;
-        const SimTime next =
-            std::max(loop.now(), user->next_allowed + min_interval);
-        user->next_allowed = next;
-        loop.schedule_at(next, [&, u] { attempts[u](); });
-      });
-    };
-    user->gbooster->set_display_handler(
-        [&, user, u](std::uint64_t, SimTime latency, const Image&) {
-          user->metrics.on_frame_displayed(loop.now(), latency);
-          user->latencies_ms.push_back(latency.ms());
-          user->displayed++;
-          if (user->waiting) {
-            user->waiting = false;
-            attempts[u]();
-          }
+  std::vector<MetricsCollector> metrics(stacks.size());
+  std::deque<AppPacer> pacers;
+  for (std::size_t u = 0; u < stacks.size(); ++u) {
+    pacers.emplace_back(loop, config.duration_s);
+    stacks[u]->gbooster.set_display_handler(
+        [&, u](std::uint64_t, SimTime latency, const Image&) {
+          metrics[u].on_frame_displayed(loop.now(), latency);
+          pacers[u].on_display();
         });
+    const apps::WorkloadSpec& workload = config.users[u].workload;
+    pacers[u].start(*stacks[u],
+                    workload.cpu_frame_seconds /
+                        config.users[u].phone.cpu_perf_index,
+                    seconds(1.0 / workload.target_fps));
   }
-  for (std::size_t u = 0; u < users.size(); ++u) attempts[u]();
 
   loop.run_until(seconds(config.duration_s));
 
   MultiUserResult result;
-  for (std::size_t u = 0; u < users.size(); ++u) {
-    const auto& user = users[u];
-    result.per_user.push_back(
-        user->metrics.finalize(seconds(config.duration_s)));
+  for (std::size_t u = 0; u < stacks.size(); ++u) {
+    result.per_user.push_back(metrics[u].finalize(seconds(config.duration_s)));
     result.service_sheds_per_user.push_back(
-        service->sheds_for_user(static_cast<net::NodeId>(1 + u)));
-    const core::GBoosterStats& gstats = user->gbooster->stats();
+        service.sheds_for_user(static_cast<net::NodeId>(1 + u)));
+    const core::GBoosterStats& gstats = stacks[u]->gbooster.stats();
     result.governor_sheds_per_user.push_back(gstats.frames_shed_window +
                                              gstats.frames_shed_deadline +
                                              gstats.frames_shed_void);
     result.bytes_sent_per_user.push_back(gstats.bytes_sent);
     result.shared_hits_per_user.push_back(gstats.render_cache.shared_hits +
                                           gstats.state_cache.shared_hits);
-    double mean = 0.0;
-    double p95 = 0.0;
-    if (!user->latencies_ms.empty()) {
-      for (const double v : user->latencies_ms) mean += v;
-      mean /= static_cast<double>(user->latencies_ms.size());
-      std::vector<double> sorted = user->latencies_ms;
-      std::sort(sorted.begin(), sorted.end());
-      p95 = runtime::percentile_sorted(sorted, 0.95);
-    }
-    result.mean_latency_ms.push_back(mean);
-    result.p95_latency_ms.push_back(p95);
+    const LatencySummary latency = metrics[u].latency_summary();
+    result.mean_latency_ms.push_back(latency.mean_ms);
+    result.p95_latency_ms.push_back(latency.p95_ms);
   }
-  service->gpu().sync();
+  service.gpu().sync();
   result.service_gpu_busy_fraction =
-      service->gpu().busy_seconds() / config.duration_s;
+      service.gpu().busy_seconds() / config.duration_s;
   if (shared_store != nullptr) {
     std::set<std::uint64_t> app_ids;
     for (const MultiUserParticipant& participant : config.users) {

@@ -35,6 +35,9 @@ struct MultiUserParticipant {
   double join_delay_s = 0.0;
 };
 
+// Every user keeps at most two frames in flight (kMultiUserMaxPending in
+// sim/testbed.h): shallow pipelines make per-request queueing visible in the
+// latency numbers.
 struct MultiUserConfig {
   std::vector<MultiUserParticipant> users;
   device::DeviceProfile service_device;  // its gpu.scheduling picks FCFS/prio
@@ -43,10 +46,6 @@ struct MultiUserConfig {
   int render_width = 96;
   int render_height = 72;
   int content_sample_every = 8;
-  // In-flight budget per user. Shallow pipelines make per-request queueing
-  // visible in the latency numbers (deep pipelines hide scheduler effects
-  // behind self-queueing).
-  int max_pending = 2;
   // Service-side per-user admission cap (DESIGN.md §11); 0 disables.
   int admission_queue_cap = 0;
   // User-side QoS governor applied to every participant (disabled by

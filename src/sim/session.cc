@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <memory>
 
-#include "apps/game_app.h"
 #include "common/error.h"
-#include "gles/direct_backend.h"
-#include "hooking/dynamic_linker.h"
+#include "core/service_fleet.h"
 #include "net/fault_plan.h"
-#include "net/medium.h"
-#include "net/radio.h"
-#include "net/reliable.h"
-#include "runtime/event_loop.h"
 #include "runtime/metrics_registry.h"
+#include "sim/testbed.h"
 
 namespace gb::sim {
 namespace {
@@ -96,14 +91,12 @@ class AppDriver {
   std::uint64_t frames_ = 0;
 };
 
-apps::TouchScript make_touch_script(const SessionConfig& config, Rng rng) {
-  apps::TouchScriptConfig tc;
-  tc.duration_s = config.duration_s;
-  tc.burst_rate_hz = config.workload.burst_rate_hz;
-  tc.burst_duration_s = config.workload.burst_duration_s;
+apps::TouchScriptConfig session_touch_config(const SessionConfig& config) {
+  apps::TouchScriptConfig tc =
+      touch_script_config(config.workload, config.duration_s);
   tc.base_touch_rate_hz = config.workload.touch_rate_hz;
   tc.burst_touch_rate_hz = config.workload.touch_burst_rate_hz;
-  return apps::TouchScript(tc, rng);
+  return tc;
 }
 
 double cpu_usage_percent(const SessionConfig& config, double render_busy_s,
@@ -148,7 +141,7 @@ SessionResult run_local(const SessionConfig& config) {
   apps::GameApp app(config.workload, *api, 64, 48, rng.fork());
   app.setup();
 
-  const apps::TouchScript touch = make_touch_script(config, rng.fork());
+  const apps::TouchScript touch(session_touch_config(config), rng.fork());
   AppDriver driver(loop, app, touch, config, rng.fork());
   MetricsCollector metrics;
 
@@ -279,80 +272,82 @@ SessionResult run_offload(const SessionConfig& config) {
     tracer = &*internal_tracer;
   }
 
-  net::RadioInterface user_wifi(loop, net::wifi_radio_config(), "user-wifi");
-  net::RadioInterface user_bt(loop, net::bluetooth_radio_config(), "user-bt");
-
-  net::ReliableEndpoint user_endpoint(loop, kUserNode, config.transport);
-  user_endpoint.bind(wifi, &user_wifi);
-  user_endpoint.bind(bt, &user_bt);
-  if (tracer != nullptr) {
-    tracer->set_track_name(kUserNode, "user");
-    user_endpoint.set_tracer(tracer);
-  }
-
   // --- service devices ------------------------------------------------------
   // Hot-join devices are fully built (runtime, radios, media binding) from
   // the start — they are powered-on peers — but stay outside the multicast
   // group and the dispatcher until their join fires below.
-  std::vector<device::DeviceProfile> service_profiles = config.service_devices;
-  const std::size_t initial_count = service_profiles.size();
-  for (const SessionConfig::HotJoinSpec& spec : config.hot_joins) {
-    service_profiles.push_back(spec.profile);
+  std::vector<core::FleetDeviceConfig> device_configs;
+  for (std::size_t i = 0;
+       i < config.service_devices.size() + config.hot_joins.size(); ++i) {
+    device_configs.push_back(core::FleetDeviceConfig{
+        static_cast<net::NodeId>(100 + i),
+        i < config.service_devices.size()
+            ? config.service_devices[i]
+            : config.hot_joins[i - config.service_devices.size()].profile});
   }
-  std::vector<std::unique_ptr<core::ServiceRuntime>> services;
+  core::ServiceFleetConfig fleet_config;
+  fleet_config.service = config.service;
+  fleet_config.service.tracer = tracer;
+  core::ServiceFleet fleet(loop, std::move(fleet_config),
+                           std::move(device_configs));
   std::vector<std::unique_ptr<net::RadioInterface>> service_radios;
   std::vector<core::ServiceDeviceInfo> device_infos;
   std::vector<core::ServiceDeviceInfo> hot_join_infos;
-  std::vector<net::ReliableEndpoint*> switched_endpoints{&user_endpoint};
-  for (std::size_t i = 0; i < service_profiles.size(); ++i) {
-    device::DeviceProfile profile = service_profiles[i];
-    // Eq. 4's c^j — fillrate derated to streamed-request throughput.
-    profile.gpu.fillrate_pps *= profile.gpu_request_efficiency;
-    const net::NodeId node = static_cast<net::NodeId>(100 + i);
-    core::ServiceRuntimeConfig scfg = config.service;
-    scfg.tracer = tracer;
-    auto service =
-        std::make_unique<core::ServiceRuntime>(loop, node, profile, scfg);
-    if (fault_plan.has_value()) service->set_fault_plan(&*fault_plan);
+  for (std::size_t i = 0; i < fleet.device_count(); ++i) {
+    core::ServiceRuntime& service = fleet.runtime(i);
+    const core::ServiceDeviceInfo info = fleet.device_info(i);
+    if (fault_plan.has_value()) service.set_fault_plan(&*fault_plan);
     if (tracer != nullptr) {
-      tracer->set_track_name(node, profile.name);
-      service->endpoint().set_tracer(tracer);
+      tracer->set_track_name(info.node, info.name);
+      service.endpoint().set_tracer(tracer);
     }
     service_radios.push_back(std::make_unique<net::RadioInterface>(
-        loop, net::wifi_radio_config(), profile.name + "-wifi"));
+        loop, net::wifi_radio_config(), info.name + "-wifi"));
     service_radios.push_back(std::make_unique<net::RadioInterface>(
-        loop, net::bluetooth_radio_config(), profile.name + "-bt"));
-    service->endpoint().bind(wifi, (service_radios.end() - 2)->get());
-    service->endpoint().bind(bt, service_radios.back().get());
-    const core::ServiceDeviceInfo info{node, profile.name,
-                                       profile.gpu.fillrate_pps};
-    if (i < initial_count) {
-      wifi.join_group(config.gbooster.state_group, node);
-      bt.join_group(config.gbooster.state_group, node);
+        loop, net::bluetooth_radio_config(), info.name + "-bt"));
+    service.endpoint().bind(wifi, (service_radios.end() - 2)->get());
+    service.endpoint().bind(bt, service_radios.back().get());
+    if (i < config.service_devices.size()) {
+      wifi.join_group(config.gbooster.state_group, info.node);
+      bt.join_group(config.gbooster.state_group, info.node);
       device_infos.push_back(info);
     } else {
       hot_join_infos.push_back(info);
     }
-    switched_endpoints.push_back(&service->endpoint());
-    services.push_back(std::move(service));
   }
 
-  // --- GBooster -----------------------------------------------------------
-  core::GBoosterConfig gcfg = config.gbooster;
-  gcfg.tracer = tracer;
-  gcfg.service_encode_mpps = config.service_devices.front().turbo_encode_mpps;
-  gcfg.local_capability_pps = config.user_device.gpu.fillrate_pps;
-  gcfg.link_bandwidth_bps = [&user_endpoint, &wifi] {
-    return user_endpoint.route() == &wifi ? net::wifi_radio_config().bandwidth_bps
-                                          : net::bluetooth_radio_config().bandwidth_bps;
+  // --- the user device, its app hooked through GBooster ----------------------
+  std::optional<UserStack> user;
+  UserStackSpec spec;
+  spec.node = kUserNode;
+  spec.name = "user";
+  spec.wifi = &wifi;
+  spec.bt = &bt;
+  spec.transport = config.transport;
+  spec.gbooster = config.gbooster;
+  spec.gbooster.tracer = tracer;
+  spec.gbooster.service_encode_mpps =
+      config.service_devices.front().turbo_encode_mpps;
+  spec.gbooster.local_capability_pps = config.user_device.gpu.fillrate_pps;
+  spec.gbooster.link_bandwidth_bps = [&user, &wifi] {
+    return user->endpoint.route() == &wifi
+               ? net::wifi_radio_config().bandwidth_bps
+               : net::bluetooth_radio_config().bandwidth_bps;
   };
-  core::GBoosterRuntime gbooster(loop, gcfg, user_endpoint, device_infos);
-  user_endpoint.set_handler(
-      [&gbooster](net::NodeId src, net::NodeId stream, Bytes message) {
-        gbooster.on_message(src, stream, std::move(message));
-      });
-  gbooster.set_workload_override(
-      [&config] { return config.workload.gpu_workload_pixels; });
+  spec.devices = std::move(device_infos);
+  spec.workload_pixels = [&config] {
+    return config.workload.gpu_workload_pixels;
+  };
+  spec.app = config.workload;
+  spec.app_width = config.gbooster.nominal_width;
+  spec.app_height = config.gbooster.nominal_height;
+  spec.touch = session_touch_config(config);
+  user.emplace(loop, spec, rng);
+  core::GBoosterRuntime& gbooster = user->gbooster;
+  if (tracer != nullptr) {
+    tracer->set_track_name(kUserNode, "user");
+    user->endpoint.set_tracer(tracer);
+  }
 
   // Hot-joins: enter the multicast group, then hand the device to the
   // runtime (which snapshots it and opens it to dispatch).
@@ -366,26 +361,17 @@ SessionResult run_offload(const SessionConfig& config) {
                      });
   }
 
+  std::vector<net::ReliableEndpoint*> switched_endpoints{&user->endpoint};
+  for (std::size_t i = 0; i < fleet.device_count(); ++i) {
+    switched_endpoints.push_back(&fleet.runtime(i).endpoint());
+  }
   core::SwitcherConfig swcfg = config.switcher;
   swcfg.tracer = tracer;
   core::InterfaceSwitcher switcher(loop, swcfg, switched_endpoints, wifi,
-                                   user_wifi, bt, user_bt);
+                                   user->wifi_radio, bt, *user->bt_radio);
 
-  // --- application, hooked through the linker --------------------------------
-  hooking::DynamicLinker linker;
-  auto genuine =
-      std::make_unique<gles::DirectBackend>(64, 48, gles::PresentFn{});
-  linker.register_library(
-      hooking::LibraryImage::exporting_all("libGLESv2.so", genuine.get()));
-  gbooster.install(linker);
-  auto api = linker.link_gles("libGLESv2.so");
-
-  apps::GameApp app(config.workload, *api, config.gbooster.nominal_width,
-                    config.gbooster.nominal_height, rng.fork());
-  app.setup();
-
-  const apps::TouchScript touch = make_touch_script(config, rng.fork());
-  AppDriver driver(loop, app, touch, config, rng.fork());
+  const apps::TouchScript& touch = user->touch;
+  AppDriver driver(loop, user->app, touch, config, rng.fork());
   MetricsCollector metrics;
 
   driver.can_issue = [&gbooster] { return gbooster.can_issue_frame(); };
@@ -474,8 +460,8 @@ SessionResult run_offload(const SessionConfig& config) {
   display_meter.add_display(seconds(config.duration_s),
                             config.user_device.display_power);
   result.energy.display_j = display_meter.joules();
-  result.energy.wifi_j = user_wifi.energy_joules();
-  result.energy.bt_j = user_bt.energy_joules();
+  result.energy.wifi_j = user->wifi_radio.energy_joules();
+  result.energy.bt_j = user->bt_radio->energy_joules();
   result.avg_power_w = result.energy.total() / config.duration_s;
 
   result.avg_traffic_mbps = static_cast<double>(total_traffic_bytes) * 8.0 /
@@ -485,15 +471,15 @@ SessionResult run_offload(const SessionConfig& config) {
   result.switcher = switcher.stats();
   result.gbooster = gstats;
   if (fault_plan.has_value()) result.faults = fault_plan->stats();
-  result.transport = user_endpoint.stats();
-  result.user_path_wifi = user_endpoint.path_stats(0);
-  result.user_path_bt = user_endpoint.path_stats(1);
-  for (const auto& service : services) {
-    result.requests_lost_to_faults += service->stats().requests_lost_to_faults;
-    result.requests_shed_admission +=
-        service->stats().requests_shed_admission;
+  result.transport = user->endpoint.stats();
+  result.user_path_wifi = user->endpoint.path_stats(0);
+  result.user_path_bt = user->endpoint.path_stats(1);
+  for (std::size_t i = 0; i < fleet.device_count(); ++i) {
+    core::ServiceRuntime& service = fleet.runtime(i);
+    result.requests_lost_to_faults += service.stats().requests_lost_to_faults;
+    result.requests_shed_admission += service.stats().requests_shed_admission;
     accumulate_transport(result.service_transport,
-                         service->endpoint().stats());
+                         service.endpoint().stats());
   }
   return result;
 }

@@ -2,29 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "apps/game_app.h"
-#include "apps/touch.h"
 #include "apps/workload.h"
 #include "common/error.h"
-#include "compress/shared_store.h"
-#include "core/gbooster.h"
-#include "gles/direct_backend.h"
-#include "hooking/dynamic_linker.h"
-#include "net/medium.h"
-#include "net/radio.h"
-#include "net/reliable.h"
-#include "runtime/event_loop.h"
 #include "runtime/invariant_audit.h"
-#include "runtime/percentile.h"
 #include "runtime/trace.h"
-#include "sim/fleet.h"
+#include "sim/metrics.h"
+#include "sim/testbed.h"
 
 namespace gb::sim {
 namespace {
@@ -32,37 +22,24 @@ namespace {
 // High enough that hundreds of user slots (node == 1 + slot) can never
 // collide with a fleet device's node id.
 constexpr net::NodeId kFirstDeviceNode = 100000;
-
-// One live session's full user-side stack. Unlike the fleet harness, these
-// are destroyed at departure and rebuilt at respawn — teardown is the point.
-struct User {
-  std::unique_ptr<net::RadioInterface> radio;
-  std::unique_ptr<net::ReliableEndpoint> endpoint;
-  std::unique_ptr<core::GBoosterRuntime> gbooster;
-  std::unique_ptr<hooking::DynamicLinker> linker;
-  std::unique_ptr<gles::DirectBackend> genuine;
-  std::unique_ptr<gles::GlesApi> api;
-  std::unique_ptr<apps::GameApp> app;
-  std::unique_ptr<apps::TouchScript> touch;
-  double cpu_frame_s = 0.016;
-  SimTime next_allowed;
-  bool waiting = false;
-};
+// Gap between a slot's teardown and its next arrival.
+constexpr double kRespawnDelayS = 1.5;
+// Each radio flap kills one user's wifi link this long; each device outage
+// takes a fleet device off the air this long.
+constexpr double kLinkFlapS = 1.0;
+constexpr double kDeviceOutageS = 1.5;
+constexpr double kBalanceIntervalS = 2.0;
 
 // A session slot. The node id (1 + slot index) is *reused* across the slot's
-// successive sessions; `generation` invalidates every closure a torn-down
-// session may have left in the event loop.
+// successive sessions: each arrival builds a fresh stack and restarts the
+// pacer, each departure stops the pacer and destroys the stack.
 struct Slot {
-  std::unique_ptr<User> user;
-  std::uint64_t generation = 0;
-  double base_workload = 0.0;
-  bool active = false;
-};
+  Slot(EventLoop& loop, double end_s) : pacer(loop, end_s) {}
 
-[[nodiscard]] std::uint64_t frames_lost_so_far(
-    const core::GBoosterRuntime& gbooster) {
-  return gbooster.stats().frames_dropped + gbooster.stats().frames_shed_void;
-}
+  std::unique_ptr<UserStack> stack;  // null between sessions
+  AppPacer pacer;
+  double base_workload = 0.0;
+};
 
 // Per-gauge drift summary accumulator.
 struct DriftTrack {
@@ -92,6 +69,43 @@ class Fnv1a {
   return "slot" + std::to_string(s);
 }
 
+// Radio flaps on random users and outages of random devices, spread over the
+// run with seeded jitter, on top of the plan's burst-loss process.
+net::FaultPlanConfig soak_faults(const SoakPlan& plan, Rng& rng,
+                                 std::size_t device_count) {
+  net::FaultPlanConfig config;
+  config.seed = plan.seed ^ 0x50a4c4a05ull;
+  if (!plan.faults.enabled) return config;
+  config.burst = plan.faults.burst;
+  Rng fault_rng = rng.fork();
+  if (plan.faults.link_flap_every_s > 0.0) {
+    double t = plan.faults.link_flap_every_s * fault_rng.uniform(0.5, 1.5);
+    while (t < plan.duration_s) {
+      net::LinkOutageWindow w;
+      w.link = 0;
+      w.node = static_cast<net::NodeId>(
+          1 + fault_rng.next_below(plan.churn.slots));
+      w.start = seconds(t);
+      w.end = seconds(t + kLinkFlapS);
+      config.link_outages.push_back(w);
+      t += plan.faults.link_flap_every_s * fault_rng.uniform(0.5, 1.5);
+    }
+  }
+  if (plan.faults.device_outage_every_s > 0.0) {
+    double t = plan.faults.device_outage_every_s * fault_rng.uniform(0.75, 1.25);
+    while (t < plan.duration_s) {
+      net::OutageWindow w;
+      w.node = kFirstDeviceNode +
+               static_cast<net::NodeId>(fault_rng.next_below(device_count));
+      w.start = seconds(t);
+      w.end = seconds(t + kDeviceOutageS);
+      config.outages.push_back(w);
+      t += plan.faults.device_outage_every_s * fault_rng.uniform(0.75, 1.25);
+    }
+  }
+  return config;
+}
+
 }  // namespace
 
 SoakReport run_soak(const SoakPlan& plan) {
@@ -117,70 +131,27 @@ SoakReport run_soak(const SoakPlan& plan) {
                 device::lg_g4()};
   }
 
-  // --- network + faults ------------------------------------------------------
-  net::MediumConfig wifi_config;
-  wifi_config.loss_rate = 0.002;
-  net::Medium wifi(loop, wifi_config, rng.fork(), "wifi");
-
-  net::FaultPlanConfig fault_config;
-  fault_config.seed = plan.seed ^ 0x50a4c4a05ull;
-  if (plan.faults.enabled) {
-    fault_config.burst = plan.faults.burst;
-    Rng fault_rng = rng.fork();
-    if (plan.faults.link_flap_every_s > 0.0) {
-      double t = plan.faults.link_flap_every_s * fault_rng.uniform(0.5, 1.5);
-      while (t < plan.duration_s) {
-        net::LinkOutageWindow w;
-        w.link = 0;
-        w.node = static_cast<net::NodeId>(
-            1 + fault_rng.next_below(plan.churn.slots));
-        w.start = seconds(t);
-        w.end = seconds(t + plan.faults.link_flap_duration_s);
-        fault_config.link_outages.push_back(w);
-        t += plan.faults.link_flap_every_s * fault_rng.uniform(0.5, 1.5);
-      }
-    }
-    if (plan.faults.device_outage_every_s > 0.0) {
-      double t = plan.faults.device_outage_every_s * fault_rng.uniform(0.75, 1.25);
-      while (t < plan.duration_s) {
-        net::OutageWindow w;
-        w.node = kFirstDeviceNode + static_cast<net::NodeId>(
-                                        fault_rng.next_below(profiles.size()));
-        w.start = seconds(t);
-        w.end = seconds(t + plan.faults.device_outage_duration_s);
-        fault_config.outages.push_back(w);
-        t += plan.faults.device_outage_every_s * fault_rng.uniform(0.75, 1.25);
-      }
-    }
-  }
-  net::FaultPlan faults(fault_config);
-  if (plan.faults.enabled) wifi.set_fault_plan(&faults, 0);
-
-  // --- fleet -----------------------------------------------------------------
+  // --- network, faults, fleet ------------------------------------------------
+  const Rng wifi_rng = rng.fork();
+  net::FaultPlan faults(soak_faults(plan, rng, profiles.size()));
   runtime::Tracer tracer;
-  core::ServiceFleetConfig fleet_config;
-  fleet_config.service.render_width = plan.render_width;
-  fleet_config.service.render_height = plan.render_height;
-  fleet_config.service.content_sample_every = plan.render_width == 0 ? 1 : 8;
-  if (plan.attach_tracer) fleet_config.service.tracer = &tracer;
-  std::shared_ptr<compress::SharedStoreRegistry> registry;
-  if (plan.shared_dedup) {
-    registry = std::make_shared<compress::SharedStoreRegistry>();
-    fleet_config.service.shared_store = registry;
-  }
-  std::vector<core::FleetDeviceConfig> device_configs;
-  for (std::size_t d = 0; d < profiles.size(); ++d) {
-    device_configs.push_back(core::FleetDeviceConfig{
-        kFirstDeviceNode + static_cast<net::NodeId>(d), profiles[d],
-        plan.max_sessions_per_device});
-  }
-  core::ServiceFleet fleet(loop, fleet_config, std::move(device_configs));
-  for (std::size_t d = 0; d < fleet.device_count(); ++d) {
-    fleet.runtime(d).endpoint().bind(wifi, nullptr);
-    if (plan.render_width == 0) {
-      fleet.runtime(d).set_size_model(fleet_analytic_size_model());
+  core::ServiceRuntimeConfig service_config;
+  service_config.render_width = plan.render_width;
+  service_config.render_height = plan.render_height;
+  service_config.content_sample_every = plan.render_width == 0 ? 1 : 8;
+  if (plan.attach_tracer) service_config.tracer = &tracer;
+  const std::shared_ptr<compress::SharedStoreRegistry> registry =
+      dedup_registry(plan.shared_dedup, nullptr);
+  service_config.shared_store = registry;
+  SharedWifiFleet devices(loop, wifi_rng, service_config, profiles,
+                          kFirstDeviceNode, plan.max_sessions_per_device);
+  net::Medium& wifi = devices.wifi;
+  core::ServiceFleet& fleet = devices.fleet;
+  if (plan.faults.enabled) {
+    wifi.set_fault_plan(&faults, 0);
+    for (std::size_t d = 0; d < fleet.device_count(); ++d) {
+      fleet.runtime(d).set_fault_plan(&faults);
     }
-    if (plan.faults.enabled) fleet.runtime(d).set_fault_plan(&faults);
   }
 
   // --- invariant auditor: fleet-lifetime probes ------------------------------
@@ -223,38 +194,38 @@ SoakReport run_soak(const SoakPlan& plan) {
         "tracer", "open_spans",
         [&tracer] { return static_cast<double>(tracer.open_span_count()); },
         static_cast<double>(plan.churn.slots) *
-            (2.0 * static_cast<double>(plan.max_pending) + 16.0));
+            (2.0 * kMultiUserMaxPending + 16.0));
   }
 
   // --- session slots ---------------------------------------------------------
-  std::vector<Slot> slots(plan.churn.slots);
-  std::vector<std::function<void()>> attempts(plan.churn.slots);
-  std::vector<double> latencies_ms;
+  std::deque<Slot> slots;
+  for (std::size_t s = 0; s < plan.churn.slots; ++s) {
+    slots.emplace_back(loop, plan.duration_s);
+  }
+  // Every session's displays, pooled.
+  MetricsCollector displays;
   double overload_factor_now = 1.0;
 
   std::function<void(std::size_t)> arrive;
 
-  auto depart = [&](std::size_t s, std::uint64_t gen, bool respawn) {
+  auto depart = [&](std::size_t s, std::uint64_t generation) {
     Slot& slot = slots[s];
-    if (slot.generation != gen || !slot.active) return;
+    if (slot.pacer.generation() != generation) return;
     const net::NodeId node = static_cast<net::NodeId>(1 + s);
-    report.frames_lost += frames_lost_so_far(*slot.user->gbooster);
+    report.frames_lost += slot.stack->frames_lost();
     // Order matters: probes capture raw pointers into the stack, so they
     // leave the auditor first; the fleet release closes the shared-store
     // lease and forgets the transport peer; the medium detach makes the node
-    // id safe to reuse; only then does the stack itself die.
+    // id safe to reuse; the pacer strands every closure the session left
+    // behind; only then does the stack itself die.
     auditor.remove_component(slot_label(s));
     auditor.remove_component(slot_label(s) + ".endpoint");
     (void)fleet.release_session(node);
     wifi.detach(node);
-    slot.user.reset();
-    slot.active = false;
-    slot.generation++;  // strand every closure the session left behind
+    slot.pacer.stop();
+    slot.stack.reset();
     report.sessions_completed++;
-    if (respawn) {
-      loop.schedule_after(seconds(plan.churn.respawn_delay_s),
-                          [&, s] { arrive(s); });
-    }
+    loop.schedule_after(seconds(kRespawnDelayS), [&, s] { arrive(s); });
   };
 
   arrive = [&](std::size_t s) {
@@ -264,134 +235,68 @@ SoakReport run_soak(const SoakPlan& plan) {
     const net::NodeId node = static_cast<net::NodeId>(1 + s);
     const std::size_t pick = static_cast<std::size_t>(
         rng.next_below(catalog.size()));
-    const apps::WorkloadSpec workload = catalog[pick];
+    const apps::WorkloadSpec& workload = catalog[pick];
     const double base = workload.gpu_workload_pixels;
     const auto placed = fleet.place_session(node, base);
     if (!placed.has_value()) {
       // Fleet full; retry after a respawn delay (admission pressure counts
       // in the fleet's own placements_rejected stat).
-      loop.schedule_after(seconds(plan.churn.respawn_delay_s),
-                          [&, s] { arrive(s); });
+      loop.schedule_after(seconds(kRespawnDelayS), [&, s] { arrive(s); });
       return;
     }
-    slot.generation++;
-    const std::uint64_t gen = slot.generation;
     slot.base_workload = base;
 
-    auto user = std::make_unique<User>();
-    user->radio = std::make_unique<net::RadioInterface>(
-        loop, net::wifi_radio_config(), slot_label(s) + "-wifi");
-    user->endpoint = std::make_unique<net::ReliableEndpoint>(loop, node);
-    user->endpoint->bind(wifi, user->radio.get());
-
-    core::GBoosterConfig gb_config;
-    gb_config.max_pending_requests = plan.max_pending;
-    gb_config.state_group = 0xff00 + static_cast<net::NodeId>(s);
-    gb_config.qos = plan.qos;
+    UserStackSpec spec;
+    spec.node = node;
+    spec.name = slot_label(s);
+    spec.wifi = &wifi;
+    spec.gbooster.max_pending_requests = kMultiUserMaxPending;
+    spec.gbooster.state_group = 0xff00 + static_cast<net::NodeId>(s);
+    spec.gbooster.qos = plan.qos;
     // Overload bursts are a designed-in axis: every slot runs the governor.
     // Dark windows (outages, cold migrations) shed at the head, as in any
     // session with local fallback off.
-    gb_config.qos.enabled = true;
-    gb_config.enable_local_fallback = false;
+    spec.gbooster.qos.enabled = true;
+    spec.gbooster.enable_local_fallback = false;
     if (plan.shared_dedup) {
-      gb_config.shared_dedup = true;
-      gb_config.app_id = 1000 + static_cast<std::uint64_t>(pick);
+      spec.gbooster.shared_dedup = true;
+      spec.gbooster.app_id = 1000 + static_cast<std::uint64_t>(pick);
     }
-    if (plan.attach_tracer) gb_config.tracer = &tracer;
-    user->gbooster = std::make_unique<core::GBoosterRuntime>(
-        loop, gb_config, *user->endpoint,
-        std::vector<core::ServiceDeviceInfo>{fleet.device_info(*placed)});
-    core::GBoosterRuntime* gbooster = user->gbooster.get();
-    user->endpoint->set_handler(
-        [gbooster](net::NodeId src, net::NodeId stream, Bytes message) {
-          gbooster->on_message(src, stream, std::move(message));
+    if (plan.attach_tracer) spec.gbooster.tracer = &tracer;
+    spec.devices = {fleet.device_info(*placed)};
+    spec.workload_pixels = [&overload_factor_now, base] {
+      return base * overload_factor_now;
+    };
+    spec.app = workload;
+    spec.app_width = plan.churn.app_width;
+    spec.app_height = plan.churn.app_height;
+    spec.touch =
+        touch_script_config(workload, plan.duration_s - loop.now().seconds());
+    slot.stack = std::make_unique<UserStack>(loop, spec, rng);
+    UserStack& stack = *slot.stack;
+    stack.gbooster.set_display_handler(
+        [&, s](std::uint64_t, SimTime latency, const Image&) {
+          Slot& sl = slots[s];
+          if (sl.stack == nullptr) return;
+          displays.on_frame_displayed(loop.now(), latency);
+          sl.pacer.on_display();
         });
-    user->gbooster->set_workload_override(
-        [&overload_factor_now, base] { return base * overload_factor_now; });
-
-    user->linker = std::make_unique<hooking::DynamicLinker>();
-    user->genuine =
-        std::make_unique<gles::DirectBackend>(64, 48, gles::PresentFn{});
-    user->linker->register_library(hooking::LibraryImage::exporting_all(
-        "libGLESv2.so", user->genuine.get()));
-    user->gbooster->install(*user->linker);
-    user->api = user->linker->link_gles("libGLESv2.so");
-
-    user->app = std::make_unique<apps::GameApp>(
-        workload, *user->api, plan.churn.app_width, plan.churn.app_height,
-        rng.fork());
-    user->app->setup();
-    apps::TouchScriptConfig touch_config;
-    touch_config.duration_s = plan.duration_s - loop.now().seconds();
-    touch_config.burst_rate_hz = workload.burst_rate_hz;
-    touch_config.burst_duration_s = workload.burst_duration_s;
-    user->touch = std::make_unique<apps::TouchScript>(touch_config, rng.fork());
-    const device::DeviceProfile phone =
-        (s % 2 == 0) ? device::lg_g5() : device::nexus5();
-    user->cpu_frame_s = workload.cpu_frame_seconds / phone.cpu_perf_index;
-
     const double fps = std::min(static_cast<double>(workload.target_fps),
                                 plan.churn.fps_cap);
-    const SimTime min_interval = seconds(1.0 / std::max(fps, 1.0));
-    attempts[s] = [&, s, gen, min_interval] {
-      Slot& sl = slots[s];
-      if (sl.generation != gen || !sl.active ||
-          loop.now().seconds() >= plan.duration_s) {
-        return;
-      }
-      User& u = *sl.user;
-      if (!u.gbooster->can_issue_frame()) {
-        if (!u.waiting) {
-          u.waiting = true;
-          loop.schedule_after(min_interval, [&, s, gen] {
-            Slot& sl2 = slots[s];
-            if (sl2.generation != gen || !sl2.active) return;
-            if (sl2.user->waiting) {
-              sl2.user->waiting = false;
-              attempts[s]();
-            }
-          });
-        }
-        return;
-      }
-      loop.schedule_after(seconds(u.cpu_frame_s), [&, s, gen, min_interval] {
-        Slot& sl2 = slots[s];
-        if (sl2.generation != gen || !sl2.active) return;
-        User& u2 = *sl2.user;
-        const double now_s = loop.now().seconds();
-        u2.app->render_frame(now_s, u2.touch->burst_active(now_s));
-        const SimTime next =
-            std::max(loop.now(), u2.next_allowed + min_interval);
-        u2.next_allowed = next;
-        loop.schedule_at(next, [&, s, gen] {
-          if (slots[s].generation == gen) attempts[s]();
-        });
-      });
-    };
-    user->gbooster->set_display_handler(
-        [&, s, gen](std::uint64_t, SimTime latency, const Image&) {
-          Slot& sl = slots[s];
-          if (sl.generation != gen || sl.user == nullptr) return;
-          report.frames_displayed++;
-          latencies_ms.push_back(latency.ms());
-          if (sl.user->waiting) {
-            sl.user->waiting = false;
-            attempts[s]();
-          }
-        });
-
-    user->gbooster->register_invariant_probes(auditor, slot_label(s), fps);
-    user->endpoint->register_invariant_probes(
+    stack.gbooster.register_invariant_probes(auditor, slot_label(s), fps);
+    stack.endpoint.register_invariant_probes(
         auditor, slot_label(s) + ".endpoint", fleet.device_count() + 1);
-
-    slot.user = std::move(user);
-    slot.active = true;
     report.sessions_started++;
 
+    const device::DeviceProfile phone =
+        (s % 2 == 0) ? device::lg_g5() : device::nexus5();
+    slot.pacer.start(stack, workload.cpu_frame_seconds / phone.cpu_perf_index,
+                     seconds(1.0 / std::max(fps, 1.0)));
     const double lifetime = plan.churn.mean_session_s * rng.uniform(0.5, 1.5);
     loop.schedule_after(seconds(lifetime),
-                        [&, s, gen] { depart(s, gen, /*respawn=*/true); });
-    attempts[s]();
+                        [&, s, generation = slot.pacer.generation()] {
+                          depart(s, generation);
+                        });
   };
 
   // Staggered initial arrivals: ramp the population over the lesser of ten
@@ -417,39 +322,12 @@ SoakReport run_soak(const SoakPlan& plan) {
   }
 
   // --- migrations ------------------------------------------------------------
-  auto migrate_slot = [&](std::size_t s, std::size_t to, bool cold) -> bool {
+  auto migrate_slot = [&](std::size_t s, std::size_t to, bool cold) {
     Slot& slot = slots[s];
-    if (!slot.active || slot.user == nullptr) return false;
-    const net::NodeId node = static_cast<net::NodeId>(1 + s);
-    const auto from = fleet.session_device(node);
-    if (!from.has_value() || to >= fleet.device_count() || to == *from) {
-      return false;
-    }
-    if (fleet.session_count(to) >=
-        static_cast<std::size_t>(fleet.device_config(to).max_sessions)) {
-      return false;
-    }
-    core::MigrationOptions options;
-    options.cold_restart = cold;
-    options.reconnect_delay = seconds(0.25);
-    options.drain_timeout = seconds(0.5);
-    slot.user->gbooster->migrate_service_device(0, fleet.device_info(to),
-                                                options);
-    fleet.register_session(node, to);
-    const double release_delay_s = cold ? 0.0 : 0.6;
-    const std::size_t source = *from;
-    const std::uint64_t gen = slot.generation;
-    loop.schedule_after(seconds(release_delay_s), [&, node, source, s, gen] {
-      // The drain-tail release on the source. Skip only if the slot churned
-      // *and* its replacement session landed back on the source — releasing
-      // then would tear down the new session's server state.
-      if (slots[s].generation != gen &&
-          fleet.session_device(node) == source) {
-        return;
-      }
-      (void)fleet.runtime(source).release_user(node);
-    });
-    return true;
+    return slot.stack != nullptr &&
+           migrate_session(loop, fleet, *slot.stack, slot.pacer,
+                           static_cast<net::NodeId>(1 + s), to, cold)
+               .has_value();
   };
 
   core::FleetBalancer balancer(plan.balancer);
@@ -459,7 +337,7 @@ SoakReport run_soak(const SoakPlan& plan) {
     double mean_workload = 0.0;
     std::size_t active = 0;
     for (const Slot& sl : slots) {
-      if (sl.active) {
+      if (sl.stack != nullptr) {
         mean_workload += sl.base_workload;
         active++;
       }
@@ -476,11 +354,9 @@ SoakReport run_soak(const SoakPlan& plan) {
                      decision->to, /*cold=*/false)) {
       report.auto_migrations++;
     }
-    loop.schedule_after(seconds(plan.balance_interval_s), balance_tick);
+    loop.schedule_after(seconds(kBalanceIntervalS), balance_tick);
   };
-  if (plan.balance_interval_s > 0.0) {
-    loop.schedule_after(seconds(plan.balance_interval_s), balance_tick);
-  }
+  loop.schedule_after(seconds(kBalanceIntervalS), balance_tick);
 
   std::function<void()> cold_tick;
   if (plan.cold_migrate_every_s > 0.0) {
@@ -491,27 +367,13 @@ SoakReport run_soak(const SoakPlan& plan) {
           static_cast<std::size_t>(rng.next_below(slots.size()));
       for (std::size_t k = 0; k < slots.size(); ++k) {
         const std::size_t s = (start + k) % slots.size();
-        if (!slots[s].active) continue;
-        const net::NodeId node = static_cast<net::NodeId>(1 + s);
-        const auto from = fleet.session_device(node);
+        if (slots[s].stack == nullptr) continue;
+        const auto from =
+            fleet.session_device(static_cast<net::NodeId>(1 + s));
         if (!from.has_value()) continue;
-        std::size_t to = fleet.device_count();
-        double best = 0.0;
-        for (std::size_t j = 0; j < fleet.device_count(); ++j) {
-          if (j == *from) continue;
-          if (fleet.session_count(j) >= static_cast<std::size_t>(
-                                            fleet.device_config(j).max_sessions)) {
-            continue;
-          }
-          const double score =
-              fleet.placement_score(j, slots[s].base_workload);
-          if (to == fleet.device_count() || score < best) {
-            to = j;
-            best = score;
-          }
-        }
-        if (to < fleet.device_count() &&
-            migrate_slot(s, to, /*cold=*/true)) {
+        const auto to =
+            fleet.coolest_with_headroom(slots[s].base_workload, from);
+        if (to.has_value() && migrate_slot(s, *to, /*cold=*/true)) {
           report.cold_migrations++;
         }
         break;
@@ -549,17 +411,15 @@ SoakReport run_soak(const SoakPlan& plan) {
       streams_total += static_cast<double>(ep.stream_state_count());
       outstanding_total += static_cast<double>(ep.outstanding_count());
     }
-    for (const Slot& sl : slots) {
-      if (!sl.active) continue;
-      rtt_total += static_cast<double>(sl.user->endpoint->rtt_entry_count());
-      streams_total +=
-          static_cast<double>(sl.user->endpoint->stream_state_count());
-      outstanding_total +=
-          static_cast<double>(sl.user->endpoint->outstanding_count());
-    }
     double active_sessions = 0.0;
     for (const Slot& sl : slots) {
-      if (sl.active) active_sessions += 1.0;
+      if (sl.stack == nullptr) continue;
+      rtt_total += static_cast<double>(sl.stack->endpoint.rtt_entry_count());
+      streams_total +=
+          static_cast<double>(sl.stack->endpoint.stream_state_count());
+      outstanding_total +=
+          static_cast<double>(sl.stack->endpoint.outstanding_count());
+      active_sessions += 1.0;
     }
     sample_gauge("active_sessions", active_sessions);
     sample_gauge("pending_events",
@@ -606,7 +466,7 @@ SoakReport run_soak(const SoakPlan& plan) {
     t = std::min(t + plan.audit_interval_s, plan.duration_s);
     loop.run_until(seconds(t));
     audit_and_sample();
-    if (report.violations > 0 && plan.halt_on_violation) {
+    if (report.violations > 0) {
       report.halted_early = t < plan.duration_s;
       break;
     }
@@ -615,19 +475,13 @@ SoakReport run_soak(const SoakPlan& plan) {
 
   // --- report ----------------------------------------------------------------
   for (const Slot& sl : slots) {
-    if (sl.active && sl.user != nullptr) {
-      report.frames_lost += frames_lost_so_far(*sl.user->gbooster);
-    }
+    if (sl.stack != nullptr) report.frames_lost += sl.stack->frames_lost();
   }
-  if (!latencies_ms.empty()) {
-    double sum = 0.0;
-    for (const double v : latencies_ms) sum += v;
-    report.mean_latency_ms = sum / static_cast<double>(latencies_ms.size());
-    std::vector<double> sorted = latencies_ms;
-    std::sort(sorted.begin(), sorted.end());
-    report.p95_latency_ms = runtime::percentile_sorted(sorted, 0.95);
-    report.p99_latency_ms = runtime::percentile_sorted(sorted, 0.99);
-  }
+  report.frames_displayed = displays.frames_displayed();
+  const LatencySummary latency = displays.latency_summary();
+  report.mean_latency_ms = latency.mean_ms;
+  report.p95_latency_ms = latency.p95_ms;
+  report.p99_latency_ms = latency.p99_ms;
   report.placements_rejected = fleet.stats().placements_rejected;
   report.balancer = balancer.stats();
   report.audits_run = auditor.audits_run();

@@ -40,14 +40,13 @@
 namespace gb::sim {
 
 // Session churn: `slots` concurrent session slots, each cycling through
-// arrive -> play -> depart -> (teardown, node-id reuse) -> respawn with a
-// freshly drawn workload — the app-switch axis rides on respawn.
+// arrive -> play -> depart -> (teardown, node-id reuse) -> respawn 1.5 s
+// later with a freshly drawn workload — the app-switch axis rides on
+// respawn.
 struct SoakChurnConfig {
   std::size_t slots = 24;
   // Session lifetime is uniform in [0.5, 1.5] x mean (seeded).
   double mean_session_s = 45.0;
-  // Gap between a slot's teardown and its next arrival.
-  double respawn_delay_s = 1.5;
   // Issue-rate cap applied on top of each workload's target_fps: soak runs
   // simulate hours, so per-frame host cost is the budget that matters.
   double fps_cap = 20.0;
@@ -61,13 +60,12 @@ struct SoakChurnConfig {
 struct SoakFaultConfig {
   bool enabled = true;
   // Expected spacing between single-user radio flaps (uniform jitter x0.5..
-  // x1.5, seeded); each flap kills one user's wifi link for `duration_s`.
+  // x1.5, seeded); each flap kills one user's wifi link for 1 s.
   double link_flap_every_s = 45.0;
-  double link_flap_duration_s = 1.0;
   // Service-device outage windows (the device-churn axis: a fleet device
-  // drops off the air and comes back with its state intact). 0 disables.
+  // drops off the air for 1.5 s and comes back with its state intact). 0
+  // disables.
   double device_outage_every_s = 120.0;
-  double device_outage_duration_s = 1.5;
   // Burst-loss process on the wifi link (per-datagram Gilbert–Elliott); a
   // mild burst chain is on by default — a soak without loss bursts would
   // never exercise retransmission-table cleanup under churn.
@@ -103,19 +101,18 @@ struct SoakPlan {
   // positive size is given; soak defaults to analytic for scale.
   int render_width = 0;
   int render_height = 0;
-  int max_pending = 2;
   core::QosGovernorConfig qos;  // enabled by default in run_soak when unset
   bool shared_dedup = true;
-  // Balancer-driven live migrations (the automatic pick_rebalance executor).
+  // Balancer-driven live migrations (the automatic pick_rebalance executor,
+  // ticking every 2 s).
   bool auto_rebalance = true;
   core::FleetBalancerConfig balancer;
-  double balance_interval_s = 2.0;
   // Scripted cold migrations at this cadence (0 disables): a random active
   // session cold-restarts on the coolest other device.
   double cold_migrate_every_s = 0.0;
-  // Invariant-audit cadence (sim seconds) and fail-fast behavior.
+  // Invariant-audit cadence (sim seconds). The run stops at the first audit
+  // that finds a violation.
   double audit_interval_s = 5.0;
-  bool halt_on_violation = true;
   // Attach a shared Tracer and audit its begin/end balance. Off by default:
   // the span log grows with frames displayed, which an hours-long run cannot
   // afford; short runs turn it on to cover the span-balance probe.
@@ -150,7 +147,7 @@ struct SoakReport {
   std::uint64_t probes_evaluated = 0;
   std::uint64_t violations = 0;
   std::string violation_dump;  // empty when the run stayed clean
-  bool halted_early = false;   // halt_on_violation tripped
+  bool halted_early = false;   // a violation stopped the run
   // Bounded-growth evidence, one series per global gauge.
   std::vector<SoakDriftSeries> drift;
   // Hot-spot pressure: max GPU queue depth across devices, sampled at every
